@@ -28,7 +28,6 @@ from .config import (
     SystemConfig,
 )
 from .core import DeepUM
-from .trace import Tracer
 from .baselines import (
     LMS,
     AutoTM,
@@ -52,7 +51,6 @@ __all__ = [
     "PowerSpec",
     "SystemConfig",
     "DeepUM",
-    "Tracer",
     "LMS",
     "LMSMod",
     "NaiveUM",

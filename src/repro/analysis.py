@@ -9,7 +9,7 @@ simulator giving the information-theoretic lower bound on migrations that
 
 Access traces are sequences of UM block indices; use
 :func:`block_trace_from_workload` to record one from any torchsim
-workload, or derive one from a saved :class:`repro.trace.Tracer` stream.
+workload.
 """
 
 from __future__ import annotations

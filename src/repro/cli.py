@@ -147,17 +147,22 @@ def _run_journaled(tasks, *, kind: str, meta: dict[str, Any],
     return results
 
 
-def _render_run_results(results: dict[str, dict[str, Any]]) -> int:
-    """The ``repro run`` policy table, from executor result documents."""
+def _render_run_results(results: dict[str, dict[str, Any]],
+                        notes: Optional[dict[str, str]] = None) -> int:
+    """The ``repro run`` policy table, from result documents.
+
+    ``notes`` maps a cell key to the note column of its finished row.
+    """
     rows = []
     bad = 0
-    parsed = [RunResult.from_dict(doc) for doc in results.values()]
-    # Journal reload alphabetizes task order, so find the UM reference
-    # time up front rather than relying on "um runs first".
+    parsed = {key: RunResult.from_dict(doc) for key, doc in results.items()}
+    # Journal reload alphabetizes task order and the serial path keeps the
+    # command-line order, so find the UM reference time up front rather
+    # than relying on "um runs first".
     um_sec = next(
-        (r.seconds_per_100_iterations for r in parsed
+        (r.seconds_per_100_iterations for r in parsed.values()
          if r.request.policy == "um" and r.ok), None)
-    for res in parsed:
+    for key, res in parsed.items():
         policy = res.request.policy
         if res.status == "oom":
             rows.append([policy, None, None, None,
@@ -171,7 +176,8 @@ def _render_run_results(results: dict[str, dict[str, Any]]) -> int:
         sec = res.seconds_per_100_iterations
         rows.append([policy, sec,
                      (um_sec / sec) if um_sec and sec else None,
-                     res.faults_per_iteration, ""])
+                     res.faults_per_iteration,
+                     notes.get(key, "") if notes else ""])
     print(format_table(
         ["policy", "s/100 iters", "speedup vs UM", "faults/iter", "note"],
         rows))
@@ -271,13 +277,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"executor timeline: {args.obs}")
         return _render_run_results(results)
 
-    rows = []
-    um_sec = None
+    results: dict[str, dict[str, Any]] = {}
+    notes: dict[str, str] = {}
     breakdowns = []
-    exit_code = 0
     for policy in policies:
         recorder = None
-        note = ""
         if args.obs:
             from .obs import SpanRecorder
 
@@ -288,33 +292,17 @@ def cmd_run(args: argparse.Namespace) -> int:
             # Tensor-swap facades have no UM engine to instrument; run
             # the policy without a timeline rather than failing.
             recorder = None
-            note = "no obs (tensor-swap)"
             result = execute(request(policy))
+            notes[result.request.cell_key] = "no obs (tensor-swap)"
         if recorder is not None:
             from .obs import write_chrome_trace
 
             path = _obs_path(args.obs, policy, len(policies) > 1)
             write_chrome_trace(recorder, path)
-            note = f"trace: {path}"
+            notes[result.request.cell_key] = f"trace: {path}"
             breakdowns.append((policy, recorder))
-        if result.status == "oom":
-            rows.append([policy, None, None, None,
-                         _error_tail(result.error, 40) or "OOM"])
-            continue
-        if not result.ok:
-            exit_code = 1
-            rows.append([policy, None, None, None,
-                         f"{result.status}: {_error_tail(result.error, 40)}"])
-            continue
-        sec = result.seconds_per_100_iterations
-        if policy == "um":
-            um_sec = sec
-        rows.append([policy, sec,
-                     (um_sec / sec) if um_sec and sec else None,
-                     result.faults_per_iteration, note])
-    print(format_table(
-        ["policy", "s/100 iters", "speedup vs UM", "faults/iter", "note"],
-        rows))
+        results[result.request.cell_key] = result.to_dict()
+    exit_code = _render_run_results(results, notes)
     for policy, recorder in breakdowns:
         print()
         print(phase_breakdown_table(
@@ -444,37 +432,43 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return _render_serve_results(results, out=args.out)
 
 
-def cmd_trace_timeline(args: argparse.Namespace) -> int:
-    """Produce a Perfetto-loadable timeline (live run or saved .jsonl)."""
-    if args.from_jsonl:
-        from .trace import Tracer
+def _recorded_run(args: argparse.Namespace, policy: str):
+    """Run ``args.model`` under ``policy`` with a fresh recorder attached.
 
-        tracer = Tracer.load(args.from_jsonl)
-        tracer.save_chrome(args.out)
-        print(f"converted {len(tracer.events)} trace events -> {args.out}")
-        print("open in https://ui.perfetto.dev or chrome://tracing")
-        return 0
-    if not args.model:
-        raise SystemExit("trace timeline: give a model name or --from-jsonl")
-    _require_writable_dir(args.out, "--out")
-    from .obs import SpanRecorder, chrome_trace_dict, validate_chrome_trace
+    The one cell the ``trace`` subcommands share: the batch defaults to
+    the paper grid's midpoint and the seed to 0. Returns ``(batch,
+    recorder)``; the recorder is None, once the failure is printed, when
+    the cell did not finish ``ok``.
+    """
+    from .obs import SpanRecorder
 
     cfg = get_model_config(args.model)
     batch = args.batch if args.batch is not None else \
         cfg.fig9_batches[len(cfg.fig9_batches) // 2]
     recorder = SpanRecorder()
     result = execute(RunRequest(
-        model=args.model, policy=args.policy, batch=batch, scale=args.scale,
+        model=args.model, policy=policy, batch=batch, scale=args.scale,
         warmup_iterations=args.warmup, measure_iterations=args.measure,
         seed=args.seed if args.seed is not None else 0,
         deepum_config=(
             DeepUMConfig(prefetch_degree=args.degree)
-            if policy_accepts_config(args.policy) else None
+            if policy_accepts_config(policy) else None
         ),
         recorder=recorder,
     ))
     if not result.ok:
-        print(f"{args.policy} {result.status}: {_error_tail(result.error)}")
+        print(f"{policy} {result.status}: {_error_tail(result.error)}")
+        return batch, None
+    return batch, recorder
+
+
+def cmd_trace_timeline(args: argparse.Namespace) -> int:
+    """Run a workload recorded and write its Perfetto-loadable timeline."""
+    _require_writable_dir(args.out, "--out")
+    from .obs import chrome_trace_dict, validate_chrome_trace
+
+    batch, recorder = _recorded_run(args, args.policy)
+    if recorder is None:
         return 1
     doc = chrome_trace_dict(recorder)
     validate_chrome_trace(doc)
@@ -683,25 +677,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_trace_why(args: argparse.Namespace) -> int:
     """Single-block drill-down: every decision that touched one UM block."""
-    from .obs import SpanRecorder
     from .obs.decisions import describe_event
 
-    cfg = get_model_config(args.model)
-    batch = args.batch if args.batch is not None else \
-        cfg.fig9_batches[len(cfg.fig9_batches) // 2]
-    recorder = SpanRecorder()
-    result = execute(RunRequest(
-        model=args.model, policy=args.policy, batch=batch, scale=args.scale,
-        warmup_iterations=args.warmup, measure_iterations=args.measure,
-        seed=args.seed if args.seed is not None else 0,
-        deepum_config=(
-            DeepUMConfig(prefetch_degree=args.degree)
-            if policy_accepts_config(args.policy) else None
-        ),
-        recorder=recorder,
-    ))
-    if not result.ok:
-        print(f"{args.policy} {result.status}: {_error_tail(result.error)}")
+    batch, recorder = _recorded_run(args, args.policy)
+    if recorder is None:
         return 1
     events = recorder.decisions.events_for_block(args.block, args.kernel)
     where = f"block {args.block}" + (
@@ -724,30 +703,15 @@ def cmd_trace_why(args: argparse.Namespace) -> int:
 
 def cmd_trace_diff(args: argparse.Namespace) -> int:
     """Run two policies instrumented and attribute their time delta."""
-    from .obs import SpanRecorder
     from .obs.diff import diff_runs, format_diff
 
     if args.a == args.b:
         raise SystemExit(f"trace diff: --a and --b are both {args.a!r}; "
                          "nothing to compare")
-    cfg = get_model_config(args.model)
-    batch = args.batch if args.batch is not None else \
-        cfg.fig9_batches[len(cfg.fig9_batches) // 2]
     recorders: dict[str, Any] = {}
     for policy in (args.a, args.b):
-        recorder = SpanRecorder()
-        result = execute(RunRequest(
-            model=args.model, policy=policy, batch=batch, scale=args.scale,
-            warmup_iterations=args.warmup, measure_iterations=args.measure,
-            seed=args.seed if args.seed is not None else 0,
-            deepum_config=(
-                DeepUMConfig(prefetch_degree=args.degree)
-                if policy_accepts_config(policy) else None
-            ),
-            recorder=recorder,
-        ))
-        if not result.ok:
-            print(f"{policy} {result.status}: {_error_tail(result.error)}")
+        batch, recorder = _recorded_run(args, policy)
+        if recorder is None:
             return 1
         recorders[policy] = recorder
     diff = diff_runs(recorders[args.a], recorders[args.b],
@@ -1502,21 +1466,19 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the full audit report as JSON")
     cverify.set_defaults(fn=cmd_cache_verify)
 
-    trace = sub.add_parser("trace", help="timeline capture and conversion")
+    trace = sub.add_parser("trace",
+                           help="recorded-run timelines and drill-downs")
     tsub = trace.add_subparsers(dest="trace_command", required=True)
     tl = tsub.add_parser(
         "timeline", parents=[cell, iters, degree],
         help="run a workload and emit a Perfetto/chrome://tracing timeline")
-    tl.add_argument("model", nargs="?", default=None,
-                    help="workload to run live (omit with --from-jsonl)")
+    tl.add_argument("model", help="workload to run recorded")
     tl.add_argument("--policy", default="deepum",
                     help="UM-family policy to instrument (default: deepum)")
     tl.add_argument("--out", default="timeline.json",
                     help="output JSON path (default: timeline.json)")
     tl.add_argument("--top", type=int, default=10,
                     help="kernels shown in the phase breakdown")
-    tl.add_argument("--from-jsonl", default=None, metavar="FILE",
-                    help="convert a saved Tracer .jsonl instead of running")
     tl.set_defaults(fn=cmd_trace_timeline, warmup=2, measure=2)
     why = tsub.add_parser(
         "why", parents=[cell, iters, degree],

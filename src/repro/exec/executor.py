@@ -123,6 +123,17 @@ def _worker_entry(conn: Connection, key: str, kind: str,
         conn.close()
 
 
+def _poll_result(conn: Connection) -> Optional[dict[str, Any]]:
+    """The result waiting on a worker's pipe, or None if there is none."""
+    if not conn.poll():
+        return None
+    try:
+        result: dict[str, Any] = conn.recv()
+    except EOFError:
+        return None  # pipe closed without a result
+    return result
+
+
 @dataclass
 class _Slot:
     """One in-flight attempt: the process, its pipe, and its deadline."""
@@ -342,19 +353,20 @@ class Executor:
                     continue
                 progressed = False
                 for slot in list(running):
-                    if slot.conn.poll():
-                        try:
-                            msg = slot.conn.recv()
-                        except EOFError:
-                            msg = None  # pipe closed without a result
-                        if msg is not None:
-                            slot.proc.join(5.0)
-                            if slot.proc.is_alive():
-                                kill(slot)
-                            reap(slot, msg, retryable=True)
-                            progressed = True
-                            continue
-                    if not slot.proc.is_alive():
+                    msg = _poll_result(slot.conn)
+                    dead = msg is None and not slot.proc.is_alive()
+                    if dead:
+                        # The worker may have sent its result and exited
+                        # between the poll and the liveness check: read
+                        # the pipe once more before calling it a crash.
+                        msg = _poll_result(slot.conn)
+                    if msg is not None:
+                        slot.proc.join(5.0)
+                        if slot.proc.is_alive():
+                            kill(slot)
+                        reap(slot, msg, retryable=True)
+                        progressed = True
+                    elif dead:
                         slot.proc.join()
                         reap(slot, {
                             "status": "failed",

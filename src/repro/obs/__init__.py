@@ -3,8 +3,8 @@
 Records where simulated time goes — kernel compute, demand-fault stalls
 (split into pipeline phases), in-flight prefetch waits, prefetch transfers,
 pre-eviction work — as spans/instants on per-resource tracks, and renders
-them as a per-kernel phase-breakdown table or a Chrome-trace (Perfetto)
-timeline. Recording is off by default (:data:`NULL_RECORDER`) and costs one
+them as a per-kernel phase-breakdown table, a kernel-stream summary
+(:mod:`repro.obs.stream`) or a Chrome-trace (Perfetto) timeline. Recording is off by default (:data:`NULL_RECORDER`) and costs one
 boolean check per instrumentation site when disabled.
 
 Typical use::
@@ -25,10 +25,8 @@ from typing import Optional
 from .chrome_trace import (
     chrome_trace_dict,
     chrome_trace_events,
-    tracer_chrome_events,
     validate_chrome_trace,
     write_chrome_trace,
-    write_tracer_chrome_trace,
 )
 from .decisions import (
     ALL_CAUSES,
@@ -130,6 +128,7 @@ from .recorder import (
     Span,
     SpanRecorder,
 )
+from .stream import TraceSummary, iteration_fault_counts, trace_summary
 
 
 def attach(target, recorder: Optional[SpanRecorder] = None) -> SpanRecorder:
@@ -206,6 +205,7 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "TableHealth",
+    "TraceSummary",
     "WallProfiler",
     "TRACK_EXEC",
     "TRACK_FAULT",
@@ -230,6 +230,7 @@ __all__ = [
     "format_history",
     "format_profile",
     "format_trend",
+    "iteration_fault_counts",
     "journal_report",
     "kernel_phases",
     "kernel_slices",
@@ -244,7 +245,7 @@ __all__ = [
     "scenario_report",
     "speedscope_document",
     "table_health",
-    "tracer_chrome_events",
+    "trace_summary",
     "trend",
     "validate_chrome_trace",
     "validate_doctor_report",
@@ -253,5 +254,4 @@ __all__ = [
     "validate_profile",
     "validate_speedscope",
     "write_chrome_trace",
-    "write_tracer_chrome_trace",
 ]

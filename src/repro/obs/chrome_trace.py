@@ -1,9 +1,8 @@
 """Chrome-trace (``chrome://tracing`` / Perfetto) JSON export.
 
-Serializes a :class:`~repro.obs.recorder.SpanRecorder` — or the legacy
-:class:`~repro.trace.Tracer` event stream — into the Trace Event Format
-(JSON object with a ``traceEvents`` array) that both ``chrome://tracing``
-and https://ui.perfetto.dev open directly.
+Serializes a :class:`~repro.obs.recorder.SpanRecorder` into the Trace
+Event Format (JSON object with a ``traceEvents`` array) that both
+``chrome://tracing`` and https://ui.perfetto.dev open directly.
 
 Mapping:
 
@@ -20,17 +19,8 @@ Mapping:
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
-from .recorder import (
-    ALL_TRACKS,
-    TRACK_FAULT,
-    TRACK_GPU,
-    TRACK_LABELS,
-    TRACK_LINK,
-    TRACK_MIGRATION,
-    SpanRecorder,
-)
+from .recorder import ALL_TRACKS, TRACK_GPU, TRACK_LABELS, SpanRecorder
 
 _PID = 1
 _US = 1e6  # simulated seconds -> trace microseconds
@@ -107,54 +97,6 @@ def chrome_trace_dict(recorder: SpanRecorder) -> dict:
 def write_chrome_trace(recorder: SpanRecorder, path_or_file) -> None:
     """Write the Perfetto-loadable JSON to a path or open file object."""
     doc = chrome_trace_dict(recorder)
-    if hasattr(path_or_file, "write"):
-        json.dump(doc, path_or_file)
-        return
-    with open(path_or_file, "w") as fh:
-        json.dump(doc, fh)
-
-
-# ---------------------------------------------------------------------- #
-# legacy Tracer event-stream support
-# ---------------------------------------------------------------------- #
-
-#: trace.TraceEvent.kind -> recorder track the instant lands on.
-_TRACER_KIND_TRACKS = {
-    "launch": TRACK_GPU,
-    "fault": TRACK_FAULT,
-    "prefetch": TRACK_MIGRATION,
-    "evict": TRACK_LINK,
-}
-
-
-def tracer_chrome_events(events: Iterable) -> list[dict]:
-    """Convert :class:`repro.trace.TraceEvent` instants to trace events.
-
-    The Tracer records point events only (no durations), so everything
-    becomes an instant; launches carry the kernel name. Useful to inspect a
-    previously saved ``.jsonl`` trace on the same timeline UI.
-    """
-    out = _metadata_events()
-    for ev in events:
-        track = _TRACER_KIND_TRACKS.get(ev.kind, TRACK_GPU)
-        name = ev.kind
-        if ev.kind == "launch" and ev.kernel_name:
-            name = ev.kernel_name
-        args = {"seq": ev.seq}
-        if ev.exec_id >= 0:
-            args["exec_id"] = ev.exec_id
-        if ev.block >= 0:
-            args["block"] = ev.block
-        out.append({
-            "ph": "i", "s": "t", "pid": _PID, "tid": _tid(track),
-            "name": name, "cat": ev.kind, "ts": ev.time * _US, "args": args,
-        })
-    return out
-
-
-def write_tracer_chrome_trace(events: Iterable, path_or_file) -> None:
-    doc = {"traceEvents": tracer_chrome_events(events),
-           "displayTimeUnit": "ms"}
     if hasattr(path_or_file, "write"):
         json.dump(doc, path_or_file)
         return

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import validate_chrome_trace
 
 
 def test_list_prints_models_and_policies(capsys):
@@ -103,6 +104,30 @@ def test_run_parallel_matches_serial_and_is_resumable(tmp_path, capsys):
     assert "already finished" in resumed
     for line in table:
         assert line in resumed
+
+
+def test_run_serial_table_equals_parallel_table(tmp_path, capsys):
+    # UM listed last: the serial path must still compute deepum's speedup.
+    argv = ["run", "mobilenet", "--batch", "64", "--policies", "deepum,um",
+            "--warmup", "1", "--measure", "1"]
+
+    def rows(out):
+        return [line for line in out.splitlines()
+                if re.match(r"\s*(um|deepum) \|", line)]
+
+    assert main(argv) == 0
+    serial = rows(capsys.readouterr().out)
+    assert main(argv + ["--workers", "2", "--runs-dir", str(tmp_path)]) == 0
+    assert len(serial) == 2
+    assert serial == rows(capsys.readouterr().out)
+
+
+def test_trace_timeline_writes_a_valid_trace(tmp_path, capsys):
+    out = tmp_path / "tl.json"
+    assert main(["trace", "timeline", "mobilenet", "--batch", "64",
+                 "--warmup", "1", "--measure", "1", "--out", str(out)]) == 0
+    assert "-> " + str(out) in capsys.readouterr().out
+    validate_chrome_trace(json.loads(out.read_text()))
 
 
 def test_runs_show_unknown_run_exits(tmp_path):

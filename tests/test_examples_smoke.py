@@ -5,10 +5,13 @@ arguments; only the fastest run at their defaults. These guard the public
 API surface the examples demonstrate.
 """
 
+import json
 import runpy
 import sys
 
 import pytest
+
+from repro.obs import validate_chrome_trace
 
 
 def run_example(monkeypatch, capsys, name, argv=()):
@@ -36,10 +39,10 @@ def test_max_batch_explorer(monkeypatch, capsys):
 
 
 def test_trace_analysis(monkeypatch, capsys, tmp_path):
-    out = run_example(monkeypatch, capsys, "trace_analysis.py",
-                      [str(tmp_path / "t.jsonl")])
+    path = tmp_path / "t.json"
+    out = run_example(monkeypatch, capsys, "trace_analysis.py", [str(path)])
     assert "stream periodicity" in out
-    assert (tmp_path / "t.jsonl").exists()
+    validate_chrome_trace(json.loads(path.read_text()))
 
 
 def test_workload_characterization(monkeypatch, capsys):

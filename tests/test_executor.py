@@ -232,6 +232,57 @@ def test_clean_crash_reports_exit_code(monkeypatch):
     assert "exit code 7" in results["mobilenet@64/um"]["error"]
 
 
+class _LateConn:
+    """A result pipe whose first poll() reports nothing although the
+    worker has already sent its result and exited."""
+
+    def __init__(self, conn, procs):
+        self._conn = conn
+        self._procs = procs
+        self._polled = False
+
+    def poll(self):
+        if self._polled:
+            return self._conn.poll()
+        self._polled = True
+        assert self._conn.poll(60.0)  # the result is in the pipe...
+        worker = self._procs[-1]
+        worker.join(60.0)
+        assert not worker.is_alive()  # ...and its worker has exited
+        return False
+
+    def recv(self):
+        return self._conn.recv()
+
+    def close(self):
+        self._conn.close()
+
+
+class _LateContext:
+    """A multiprocessing context whose pipes are :class:`_LateConn`."""
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        self.procs = []
+
+    def Pipe(self, duplex=True):
+        parent, child = self._ctx.Pipe(duplex=duplex)
+        return _LateConn(parent, self.procs), child
+
+    def Process(self, **kwargs):
+        proc = self._ctx.Process(**kwargs)
+        self.procs.append(proc)
+        return proc
+
+
+def test_result_sent_just_before_exit_is_not_a_crash():
+    executor = Executor(FAST)
+    executor._ctx = _LateContext(executor._ctx)
+    doc = executor.run_tasks(tiny_tasks(("um",)))["mobilenet@64/um"]
+    assert doc["status"] == "ok"
+    assert doc["attempts"] == 1
+
+
 def test_flaky_cell_succeeds_on_retry(monkeypatch, tmp_path):
     inject(monkeypatch,
            {"mobilenet@64/um": {"mode": "flaky", "ok_on_attempt": 2}})

@@ -18,7 +18,6 @@ from repro.obs import (
     attach,
     chrome_trace_dict,
     kernel_phases,
-    tracer_chrome_events,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -164,19 +163,3 @@ def test_validate_rejects_malformed_documents():
                                                "dur": -1.0}]})
     with pytest.raises(ValueError):
         validate_chrome_trace({"traceEvents": [{"ph": "i"}]})
-
-
-def test_tracer_events_convert_to_instants():
-    from repro.trace import TraceEvent
-
-    events = [
-        TraceEvent(seq=0, kind="launch", time=0.0, exec_id=3,
-                   kernel_name="conv"),
-        TraceEvent(seq=1, kind="fault", time=0.5, block=7),
-        TraceEvent(seq=2, kind="prefetch", time=0.6, block=8),
-    ]
-    out = tracer_chrome_events(events)
-    validate_chrome_trace({"traceEvents": out})
-    instants = [e for e in out if e["ph"] == "i"]
-    assert [e["name"] for e in instants] == ["conv", "fault", "prefetch"]
-    assert instants[1]["args"]["block"] == 7
