@@ -16,9 +16,7 @@ from ..obs.recorder import NULL_RECORDER, TRACK_PREEVICT
 from ..policies.eviction import ProtectedBlockProvider
 from ..sim.fault_handler import DriverFaultHandler
 from ..sim.gpu import GPUMemory
-from ..sim.um_space import ADVISE_STICKY, MemAdvise, UMBlock
-
-_ADVISE_CPU = MemAdvise.PREFERRED_LOCATION_CPU
+from ..sim.um_space import ADVISE_CPU, ADVISE_STICKY, UMBlock
 
 
 @dataclass(slots=True)
@@ -111,7 +109,7 @@ class PreEvictor:
                     if len(live) < batch:
                         hint_skips += 1
                     continue
-                if blk.advice & _ADVISE_CPU:
+                if blk.advice & ADVISE_CPU:
                     continue
             if blk.invalidated:
                 victims.append(blk)

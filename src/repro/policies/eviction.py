@@ -13,9 +13,7 @@ from __future__ import annotations
 from typing import Protocol
 
 from ..sim.gpu import GPUMemory
-from ..sim.um_space import ADVISE_STICKY, MemAdvise, UMBlock
-
-_ADVISE_CPU = MemAdvise.PREFERRED_LOCATION_CPU
+from ..sim.um_space import ADVISE_CPU, ADVISE_STICKY, UMBlock
 
 
 class ProtectedBlockProvider(Protocol):
@@ -63,7 +61,7 @@ class ProtectedLRUEvictionPolicy:
             elif self.prefer_invalidated and blk.invalidated:
                 dead.append(blk)
             elif blk.advice:  # advisory tiers; empty when no hints are set
-                if blk.advice & _ADVISE_CPU:
+                if blk.advice & ADVISE_CPU:
                     eager.append(blk)
                 elif blk.advice & ADVISE_STICKY:
                     sticky.append(blk)

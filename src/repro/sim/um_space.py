@@ -46,8 +46,16 @@ class MemAdvise(enum.IntFlag):
     ACCESSED_BY = 8
 
 
+# The victim-tier masks are plain ints, not MemAdvise members: block
+# advice is an int, and ``int & IntFlag`` dispatches to IntFlag.__rand__,
+# which builds an enum object on every test of the per-block hot loops.
+
 #: Hints that bias toward device residency (evicted last, seeded first).
-ADVISE_STICKY = MemAdvise.READ_MOSTLY | MemAdvise.PREFERRED_LOCATION_GPU
+ADVISE_STICKY = int(MemAdvise.READ_MOSTLY | MemAdvise.PREFERRED_LOCATION_GPU)
+#: The caller expects host residency (evicted first, never pre-evicted).
+ADVISE_CPU = int(MemAdvise.PREFERRED_LOCATION_CPU)
+#: Every defined advice bit.
+ADVISE_ALL = int(sum(MemAdvise))
 
 
 def advice_labels(advice: int) -> str:
@@ -215,7 +223,7 @@ class UnifiedMemorySpace:
         Materializes the blocks without populating any pages.
         """
         flags = int(advice)
-        if flags and not (0 < flags <= sum(MemAdvise)):
+        if flags and not (0 < flags <= ADVISE_ALL):
             raise ValueError(f"unknown advice bits {advice:#x}")
         blocks = self.blocks_of(addr, nbytes)
         for blk in blocks:

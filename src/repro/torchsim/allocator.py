@@ -33,43 +33,53 @@ class TorchSimOOM(RuntimeError):
     """Allocation failed even after flushing the cache (CUDA OOM error)."""
 
 
-def _index_of(blocks: list["PTBlock"], block: "PTBlock") -> int:
-    """Position of ``block`` in ``blocks`` by identity.
-
-    ``list.index`` falls back to the dataclass ``__eq__`` for every
-    preceding element, which is measurably hot on segments with many
-    blocks; identity is the intended semantics here (each PTBlock object
-    appears in exactly one segment).
-    """
-    for i, b in enumerate(blocks):
-        if b is block:
-            return i
-    raise ValueError(f"block not in segment: {block!r}")
-
-
 @dataclass(slots=True)
 class Segment:
-    """One backend reservation, subdivided into PT blocks."""
+    """One backend reservation, subdivided into PT blocks.
+
+    The blocks form a doubly linked list in address order starting at
+    ``head`` (PyTorch's CUDACachingAllocator links its ``Block``s the same
+    way), so splitting and coalescing touch only a block's neighbours.
+    """
 
     addr: int
     size: int
     pool: "Pool"
-    blocks: list["PTBlock"] = field(default_factory=list)
+    head: "PTBlock" = field(init=False)
+
+    @property
+    def blocks(self) -> tuple["PTBlock", ...]:
+        """The segment's blocks in address order (a read-only snapshot)."""
+        out = []
+        blk: Optional[PTBlock] = self.head
+        while blk is not None:
+            out.append(blk)
+            blk = blk.next
+        return tuple(out)
 
     @property
     def fully_free(self) -> bool:
-        return all(not b.active for b in self.blocks)
+        # Free neighbours always coalesce, so a segment with no active
+        # block is a single inactive block.
+        head = self.head
+        return not head.active and head.next is None
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class PTBlock:
-    """A PyTorch memory-pool block ("PT block" in the paper)."""
+    """A PyTorch memory-pool block ("PT block" in the paper).
+
+    Compared by identity: each object is one block of one segment.
+    """
 
     addr: int
     size: int
     segment: Segment
     active: bool = False
     requested: int = 0
+    #: Address-order neighbours within the segment (None at either end).
+    prev: Optional["PTBlock"] = None
+    next: Optional["PTBlock"] = None
 
     @property
     def end(self) -> int:
@@ -174,7 +184,7 @@ class CachingAllocator:
         self.stats.allocated_bytes -= block.size
         self._notify(block, active=False)
         block = self._coalesce(block)
-        self._pool_of(block).insert(block)
+        block.segment.pool.insert(block)
 
     def empty_cache(self) -> int:
         """Release fully-free segments back to the backend; returns bytes."""
@@ -182,8 +192,7 @@ class CachingAllocator:
         for addr in list(self.segments):
             seg = self.segments[addr]
             if seg.fully_free:
-                for blk in seg.blocks:
-                    self._pool_of(blk).remove(blk)
+                seg.pool.remove(seg.head)
                 del self.segments[addr]
                 self.backend.free_segment(addr)
                 released += seg.size
@@ -209,9 +218,6 @@ class CachingAllocator:
 
     def _pool_for(self, size: int) -> Pool:
         return self.large_pool if size > PT_SMALL_POOL_THRESHOLD else self.small_pool
-
-    def _pool_of(self, block: PTBlock) -> Pool:
-        return block.segment.pool
 
     def _segment_size(self, pool: Pool, size: int) -> int:
         if pool is self.small_pool:
@@ -239,7 +245,7 @@ class CachingAllocator:
         self.stats.reserved_bytes += seg_size
         self.stats.peak_reserved = max(self.stats.peak_reserved, self.stats.reserved_bytes)
         block = PTBlock(addr=addr, size=seg_size, segment=seg)
-        seg.blocks.append(block)
+        seg.head = block
         return block
 
     def _maybe_split(self, block: PTBlock, size: int, pool: Pool) -> PTBlock:
@@ -252,31 +258,37 @@ class CachingAllocator:
         threshold = 1 * MiB if pool is self.large_pool else PT_ALLOC_ROUND
         if remainder < threshold:
             return block
-        seg = block.segment
-        rest = PTBlock(addr=block.addr + size, size=remainder, segment=seg)
+        after = block.next
+        rest = PTBlock(addr=block.addr + size, size=remainder,
+                       segment=block.segment, prev=block, next=after)
+        if after is not None:
+            after.prev = rest
+        block.next = rest
         block.size = size
-        idx = _index_of(seg.blocks, block)
-        seg.blocks.insert(idx + 1, rest)
-        self._pool_of(rest).insert(rest)
+        pool.insert(rest)
         self.stats.splits += 1
         return block
 
     def _coalesce(self, block: PTBlock) -> PTBlock:
         """Merge ``block`` with adjacent inactive neighbours in its segment."""
-        seg = block.segment
-        idx = _index_of(seg.blocks, block)
-        # Merge with the right neighbour.
-        if idx + 1 < len(seg.blocks) and not seg.blocks[idx + 1].active:
-            right = seg.blocks.pop(idx + 1)
-            self._pool_of(right).remove(right)
+        pool = block.segment.pool
+        # Absorb the right neighbour.
+        right = block.next
+        if right is not None and not right.active:
+            pool.remove(right)
             block.size += right.size
+            block.next = right.next
+            if right.next is not None:
+                right.next.prev = block
             self.stats.coalesces += 1
         # Merge into the left neighbour.
-        if idx > 0 and not seg.blocks[idx - 1].active:
-            left = seg.blocks[idx - 1]
-            self._pool_of(left).remove(left)
+        left = block.prev
+        if left is not None and not left.active:
+            pool.remove(left)
             left.size += block.size
-            seg.blocks.pop(idx)
+            left.next = block.next
+            if block.next is not None:
+                block.next.prev = left
             self.stats.coalesces += 1
             block = left
         return block

@@ -90,6 +90,27 @@ def test_coalescing_merges_neighbours(alloc):
     assert alloc.stats.coalesces >= 3
 
 
+@pytest.mark.parametrize("order", [(1, 0), (0, 1), (0, 2, 1), (2, 0, 1)])
+def test_coalescing_relinks_neighbours(alloc, order):
+    """Right, left and two-sided merges leave prev/next links consistent."""
+    blocks = [alloc.allocate(4096) for _ in range(4)]
+    seg = blocks[0].segment
+    for i in order:
+        alloc.free(blocks[i])
+        tiles = seg.blocks
+        assert seg.head is tiles[0] and tiles[0].prev is None
+        assert tiles[-1].next is None
+        for left, right in zip(tiles, tiles[1:]):
+            assert left.next is right and right.prev is left
+            assert left.end == right.addr
+            assert left.active or right.active
+    # The freed prefix is one inactive block ahead of the first live one.
+    head = seg.head
+    assert not head.active and head.size == 4096 * len(order)
+    assert head.next is blocks[len(order)] and blocks[len(order)].prev is head
+    assert not seg.fully_free
+
+
 def test_allocated_bytes_accounting(alloc):
     a = alloc.allocate(1 * MiB)
     size_at_alloc = a.size

@@ -165,6 +165,29 @@ def test_advice_labels_are_stable():
     assert advice_labels(both) == "PREFERRED_LOCATION_CPU|ACCESSED_BY"
 
 
+def test_advice_masks_are_plain_ints():
+    """Block advice is an int, so an IntFlag mask would make every
+    ``blk.advice & mask`` in the victim scans build an enum object."""
+    from repro.core import preevict
+    from repro.policies import chaining, eviction, windowed
+    from repro.sim import um_space
+
+    masks = {
+        "um_space.ADVISE_STICKY": um_space.ADVISE_STICKY,
+        "um_space.ADVISE_CPU": um_space.ADVISE_CPU,
+        "um_space.ADVISE_ALL": um_space.ADVISE_ALL,
+        "eviction.ADVISE_STICKY": eviction.ADVISE_STICKY,
+        "eviction.ADVISE_CPU": eviction.ADVISE_CPU,
+        "preevict.ADVISE_STICKY": preevict.ADVISE_STICKY,
+        "preevict.ADVISE_CPU": preevict.ADVISE_CPU,
+        "windowed.ADVISE_STICKY": windowed.ADVISE_STICKY,
+        "chaining.ADVISE_STICKY": chaining.ADVISE_STICKY,
+    }
+    for name, mask in masks.items():
+        assert type(mask) is int, name
+    assert um_space.ADVISE_ALL == sum(int(flag) for flag in MemAdvise)
+
+
 def _eviction_stack(capacity_blocks=4):
     from repro.constants import UM_BLOCK_SIZE
     from repro.sim.gpu import GPUMemory
