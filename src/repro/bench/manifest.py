@@ -10,7 +10,12 @@ constants so a scenario times exactly what the paper grids run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional, Union
+
+from ..api import RunRequest
+from ..config import DeepUMConfig
+from ..harness.experiment import policy_accepts_config
 
 #: Iterations before the measurement window: correlation tables need ~3
 #: iterations to converge (same constant the figure benchmarks use).
@@ -34,14 +39,45 @@ class Scenario:
     seed: int = DEFAULT_SEED
     prefetch_degree: int = 32
     description: str = ""
-    # Derived, for display only.
-    cells: tuple[str, ...] = field(init=False, default=())
 
-    def __post_init__(self) -> None:
-        cells = tuple(
-            f"{self.model}@{self.paper_batch}/{p}" for p in self.policies
-        )
-        object.__setattr__(self, "cells", cells)
+    def requests(
+        self,
+        *,
+        batch: Optional[int] = None,
+        scale: Optional[float] = None,
+        seed: Optional[int] = None,
+        warmup_iterations: Optional[int] = None,
+        measure_iterations: Optional[int] = None,
+    ) -> dict[str, RunRequest]:
+        """Cell key -> request for every policy, overrides applied.
+
+        The one place a scenario becomes cells: the bench, doctor, report
+        and profile all run exactly these requests, so they judge the
+        same cells. ``None`` keeps the scenario's pin (``scale=None``
+        keeps the model's preset simulation scale).
+        """
+        cells: dict[str, RunRequest] = {}
+        for policy in self.policies:
+            request = RunRequest(
+                model=self.model,
+                policy=policy,
+                batch=self.paper_batch if batch is None else batch,
+                scale=scale,
+                warmup_iterations=(
+                    self.warmup_iterations if warmup_iterations is None else warmup_iterations
+                ),
+                measure_iterations=(
+                    self.measure_iterations if measure_iterations is None else measure_iterations
+                ),
+                seed=self.seed if seed is None else seed,
+                deepum_config=(
+                    DeepUMConfig(prefetch_degree=self.prefetch_degree)
+                    if policy_accepts_config(policy)
+                    else None
+                ),
+            )
+            cells[request.cell_key] = request
+        return cells
 
     def config_dict(self) -> dict:
         """The scenario pin, embedded verbatim in every result file."""
@@ -100,3 +136,17 @@ SCENARIOS: dict[str, Scenario] = _registry(
         description="Fig. 9 cell: DLRM (irregular embedding access)",
     ),
 )
+
+
+def get_scenario(scenario: Union[str, Scenario]) -> Scenario:
+    """``scenario`` itself, or the registered scenario of that name.
+
+    Raises ``KeyError`` naming the known scenarios for an unknown name.
+    """
+    if isinstance(scenario, Scenario):
+        return scenario
+    found = SCENARIOS.get(scenario)
+    if found is None:
+        known = ", ".join(sorted(SCENARIOS))
+        raise KeyError(f"unknown scenario {scenario!r}; known: {known}")
+    return found

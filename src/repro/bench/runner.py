@@ -8,11 +8,13 @@ simulated metrics of every timed pass are compared on the spot: a
 deterministic simulator must reproduce them exactly, so any drift between
 repeats aborts the bench rather than silently reporting an unstable cell.
 
-One scenario cell is a self-contained unit (:func:`run_scenario_cell`
-takes and returns plain dicts), so ``run_scenario(..., workers=N)`` can
-fan cells out across the process-pool executor (:mod:`repro.exec`) — with
-a resumable journal — and still assemble a result document whose simulated
-metrics are bit-identical to a serial run.
+One scenario cell is a ``bench-cell`` executor task: the cell's canonical
+:class:`~repro.api.RunRequest` payload plus the run-mode keys
+``repeats``/``warmup_runs``/``collect_health``. Serial and parallel runs
+build the same tasks (so they share cache keys), ``run_scenario(...,
+workers=N)`` fans them out across the process-pool executor with a
+resumable journal, and :func:`bench_document` assembles the result
+document for a live run and a resumed one alike.
 """
 
 from __future__ import annotations
@@ -20,13 +22,16 @@ from __future__ import annotations
 import resource
 import sys
 import time
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from ..api import RunRequest, execute
+from ..api import RunRequest, RunResult, execute
 from ..config import DeepUMConfig
 from ..harness.experiment import ExperimentResult
 from .manifest import DEFAULT_MEASURE, DEFAULT_WARMUP, Scenario
 from .schema import make_result
+
+if TYPE_CHECKING:
+    from ..exec.tasks import Task
 
 
 class BenchRunError(RuntimeError):
@@ -63,8 +68,13 @@ def run_cell(
             recorder=recorder,
         )
     )
+    return _checked(result)
+
+
+def _checked(result: RunResult) -> ExperimentResult:
+    """The live experiment of a finished (ok or OOM) cell."""
     if result.status == "failed":
-        raise BenchRunError(f"{model}@{batch}/{policy} failed: {result.error}")
+        raise BenchRunError(f"{result.request.cell_key} failed: {result.error}")
     assert result.experiment is not None
     return result.experiment
 
@@ -92,84 +102,70 @@ def _peak_rss_bytes() -> int:
     return ru if sys.platform == "darwin" else ru * 1024
 
 
-def cell_payload(
+def scenario_tasks(
     scenario: Scenario,
-    policy: str,
     *,
     repeats: int,
     warmup_runs: int,
     collect_health: bool,
-) -> dict[str, Any]:
-    """The JSON payload :func:`run_scenario_cell` (and a worker) consumes."""
-    return {
-        "model": scenario.model,
-        "paper_batch": scenario.paper_batch,
-        "policy": policy,
-        "warmup_iterations": scenario.warmup_iterations,
-        "measure_iterations": scenario.measure_iterations,
-        "seed": scenario.seed,
-        "prefetch_degree": scenario.prefetch_degree,
-        "repeats": repeats,
-        "warmup_runs": warmup_runs,
-        "collect_health": collect_health,
-    }
+) -> list[Task]:
+    """One ``bench-cell`` task per scenario cell, keyed by cell name."""
+    from ..exec.tasks import KIND_BENCH_CELL, experiment_task
+
+    return [
+        experiment_task(
+            request,
+            key,
+            kind=KIND_BENCH_CELL,
+            repeats=repeats,
+            warmup_runs=warmup_runs,
+            collect_health=collect_health,
+        )
+        for key, request in scenario.requests().items()
+    ]
 
 
 def run_scenario_cell(payload: dict[str, Any]) -> dict[str, Any]:
-    """Run one scenario cell (all its passes) from a plain payload dict.
+    """Run one ``bench-cell`` task payload (all its passes).
 
     Returns the cell document stored under ``cells`` in the bench result,
     plus a ``peak_rss_bytes`` key (this process's high-water mark) that
-    :func:`run_scenario` pops into the document level. Raises
+    :func:`bench_document` pops into the document level. Raises
     :class:`BenchRunError` on OOM or nondeterminism — in a worker process
     that surfaces as a ``failed`` cell with the traceback.
     """
-    from ..harness.experiment import policy_accepts_config
-
-    deepum_config = (
-        DeepUMConfig(prefetch_degree=payload["prefetch_degree"])
-        if policy_accepts_config(payload["policy"]) else None
-    )
-    cell_name = f"{payload['model']}@{payload['paper_batch']}/{payload['policy']}"
-
-    # Per-cell phase accounting: the phases set below become the cell's
-    # ``wall_breakdown`` and drive heartbeat progress/ETA in worker runs.
     from ..exec.telemetry import TELEMETRY
+    from ..obs.doctor import judge
 
-    def one(recorder=None) -> ExperimentResult:
-        result = run_cell(
-            payload["model"],
-            payload["paper_batch"],
-            payload["policy"],
-            deepum_config=deepum_config,
-            warmup_iterations=payload["warmup_iterations"],
-            measure_iterations=payload["measure_iterations"],
-            seed=payload["seed"],
-            recorder=recorder,
-        )
+    request = RunRequest.from_dict(payload)
+    cell_name = request.cell_key
+
+    def one() -> dict:
+        result = _checked(execute(request))
         # Advance the live sim-time watermark at pass boundaries (wall
         # telemetry only; see repro.exec.telemetry — never fed back into
         # the simulation).
         elapsed = getattr(result.facade, "elapsed", None)
         if callable(elapsed):
             TELEMETRY.set_sim_time(float(elapsed()))
-        return result
+        return _sim_metrics(result)
 
+    # Per-cell phase accounting: the phases set below become the cell's
+    # ``wall_breakdown`` and drive heartbeat progress/ETA in worker runs.
     TELEMETRY.reset(key=cell_name, attempt=TELEMETRY.attempt)
-    passes = (payload["warmup_runs"] + payload["repeats"]
-              + (1 if payload["collect_health"] else 0))
-    for i in range(payload["warmup_runs"]):
+    warmup_runs = payload["warmup_runs"]
+    repeats = payload["repeats"]
+    passes = warmup_runs + repeats + (1 if payload["collect_health"] else 0)
+    for i in range(warmup_runs):
         TELEMETRY.set_phase("warmup", completed=i, total=passes)
-        _sim_metrics(one())
+        one()
     walls: list[float] = []
     sim: Optional[dict] = None
-    for i in range(payload["repeats"]):
-        TELEMETRY.set_phase("timed", completed=payload["warmup_runs"] + i,
-                            total=passes)
+    for i in range(repeats):
+        TELEMETRY.set_phase("timed", completed=warmup_runs + i, total=passes)
         t0 = time.perf_counter()
-        result = one()
+        metrics = one()
         walls.append(time.perf_counter() - t0)
-        metrics = _sim_metrics(result)
         if sim is None:
             sim = metrics
         elif sim != metrics:
@@ -185,158 +181,74 @@ def run_scenario_cell(payload: dict[str, Any]) -> dict[str, Any]:
         "sim": sim,
     }
     if payload["collect_health"]:
-        from ..obs import SpanRecorder
-        from ..obs.health import policy_health
-
-        TELEMETRY.set_phase(
-            "health", completed=payload["warmup_runs"] + payload["repeats"],
-            total=passes)
-        try:
-            recorder = SpanRecorder()
-            instrumented = one(recorder=recorder)
-        except TypeError:
-            pass  # tensor-swap facade: no UM engine, no health section
-        else:
-            inst_sim = _sim_metrics(instrumented)
+        TELEMETRY.set_phase("health", completed=warmup_runs + repeats, total=passes)
+        # None for a tensor-swap facade: no UM engine, no health section.
+        judged = judge(request)
+        if judged is not None:
+            inst_sim = _sim_metrics(_checked(judged.result))
             if inst_sim != sim:
                 raise BenchRunError(
                     f"{cell_name}: attribution changed simulated "
                     f"metrics ({sim} vs {inst_sim}); the recorder must "
                     f"be observation-only"
                 )
-            driver = getattr(instrumented.facade, "driver", None)
-            cell["policy_health"] = policy_health(recorder, driver).to_dict()
+            assert judged.health is not None
+            cell["policy_health"] = judged.health.to_dict()
     cell["wall_breakdown"] = TELEMETRY.wall_breakdown()
     cell["peak_rss_bytes"] = _peak_rss_bytes()
     return cell
 
 
-def _cells_serial(
-    scenario: Scenario,
-    *,
-    repeats: int,
-    warmup_runs: int,
-    collect_health: bool,
-    progress,
-    cache=None,
-) -> dict[str, dict]:
-    cells: dict[str, dict] = {}
-    for policy in scenario.policies:
-        cell_name = f"{scenario.model}@{scenario.paper_batch}/{policy}"
-        payload = cell_payload(
-            scenario,
-            policy,
-            repeats=repeats,
-            warmup_runs=warmup_runs,
-            collect_health=collect_health,
-        )
+def _cells_serial(tasks: list[Task], *, repeats: int, progress, cache=None) -> dict[str, dict]:
+    results: dict[str, dict] = {}
+    for task in tasks:
         # Same key and entry shape as a worker-executed bench cell, so
         # serial and parallel runs share one cache population.
-        key = None
-        doc = None
-        if cache is not None:
-            from ..exec.tasks import KIND_BENCH_CELL
-
-            key = cache.key(KIND_BENCH_CELL, payload)
-            doc = cache.get(key)
-        cached = ""
-        if doc is not None:
-            cells[cell_name] = doc["cell"]
-            cached = " (cached)"
-        else:
-            cells[cell_name] = run_scenario_cell(payload)
-            if cache is not None and key is not None:
-                cache.put(key, {"status": "ok", "cell": cells[cell_name]})
+        key = cache.key(task.kind, task.payload) if cache is not None else None
+        doc: Optional[dict] = cache.get(key) if key is not None else None
+        cached = " (cached)" if doc is not None else ""
+        if doc is None:
+            doc = {"status": "ok", "cell": run_scenario_cell(task.payload)}
+            if key is not None:
+                cache.put(key, doc)
+        results[task.key] = doc
         if progress is not None:
+            cell = doc["cell"]
             progress(
-                f"{cell_name}: {cells[cell_name]['wall_seconds']:.3f}s wall "
+                f"{task.key}: {cell['wall_seconds']:.3f}s wall "
                 f"({repeats} repeats), "
-                f"sim {cells[cell_name]['sim']['elapsed']:.4f}s{cached}"
+                f"sim {cell['sim']['elapsed']:.4f}s{cached}"
             )
-    return cells
+    return results
 
 
-def _cells_parallel(
+def bench_document(
     scenario: Scenario,
+    results: dict[str, dict],
     *,
     repeats: int,
     warmup_runs: int,
-    collect_health: bool,
-    progress,
-    workers: int,
-    cell_timeout: Optional[float],
-    retries: int,
-    heartbeat_interval: float,
-    runs_dir: Optional[str],
-    run_id: Optional[str],
-    out: Optional[str],
-    cache=None,
-) -> dict[str, dict]:
-    from ..exec import (
-        DEFAULT_RUNS_DIR,
-        Executor,
-        ExecutorConfig,
-        RunJournal,
-        bench_cell_task,
-    )
+) -> dict:
+    """The bench result document from per-cell ``bench-cell`` results.
 
-    tasks = []
-    for policy in scenario.policies:
-        key = f"{scenario.model}@{scenario.paper_batch}/{policy}"
-        tasks.append(
-            bench_cell_task(
-                cell_payload(
-                    scenario,
-                    policy,
-                    repeats=repeats,
-                    warmup_runs=warmup_runs,
-                    collect_health=collect_health,
-                ),
-                key,
-            )
-        )
-    config = ExecutorConfig(workers=workers, cell_timeout=cell_timeout,
-                            retries=retries,
-                            heartbeat_interval=heartbeat_interval)
-    journal = RunJournal.create(
-        tasks,
-        kind="bench",
-        meta={
-            "scenario": scenario.name,
-            "repeats": repeats,
-            "warmup_runs": warmup_runs,
-            "collect_health": collect_health,
-            "out": out,
-        },
-        executor=config.to_dict(),
-        runs_dir=runs_dir if runs_dir is not None else DEFAULT_RUNS_DIR,
-        run_id=run_id,
-    )
-    if progress is not None:
-        progress(
-            f"bench run {journal.run_id}: {len(tasks)} cells across "
-            f"{workers} workers (journal: {journal.root})"
-        )
-    executor = Executor(config, progress=progress, cache=cache)
-    results = executor.run_journal(journal)
-    return assemble_cells(results)
-
-
-def assemble_cells(results: dict[str, dict]) -> dict[str, dict]:
-    """Turn executor bench-cell results into the ``cells`` section.
-
-    Raises :class:`BenchRunError` if any cell did not finish ``ok`` — a
-    bench document must cover every pinned cell or it is not a benchmark.
+    Used by a live run and by ``repro runs resume`` alike. Raises
+    :class:`BenchRunError` if any cell did not finish ``ok`` — a bench
+    document must cover every pinned cell or it is not a benchmark.
     """
     cells: dict[str, dict] = {}
     for key, doc in results.items():
         if doc.get("status") != "ok":
-            raise BenchRunError(
-                f"{key}: cell ended {doc.get('status')!r}: "
-                f"{doc.get('error', '')}"
-            )
+            raise BenchRunError(f"{key}: cell ended {doc.get('status')!r}: {doc.get('error', '')}")
         cells[key] = doc["cell"]
-    return cells
+    cell_peaks = [cell.pop("peak_rss_bytes", 0) for cell in cells.values()]
+    return make_result(
+        scenario.name,
+        scenario.config_dict(),
+        repeats=repeats,
+        warmup_runs=warmup_runs,
+        cells=cells,
+        peak_rss_bytes=max([_peak_rss_bytes()] + cell_peaks),
+    )
 
 
 def run_scenario(
@@ -376,38 +288,42 @@ def run_scenario(
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if workers > 1:
-        cells = _cells_parallel(
-            scenario,
-            repeats=repeats,
-            warmup_runs=warmup_runs,
-            collect_health=collect_health,
-            progress=progress,
-            workers=workers,
-            cell_timeout=cell_timeout,
-            retries=retries,
-            heartbeat_interval=heartbeat_interval,
-            runs_dir=runs_dir,
-            run_id=run_id,
-            out=out,
-            cache=cache,
-        )
-    else:
-        cells = _cells_serial(
-            scenario,
-            repeats=repeats,
-            warmup_runs=warmup_runs,
-            collect_health=collect_health,
-            progress=progress,
-            cache=cache,
-        )
-    cell_peaks = [cell.pop("peak_rss_bytes", 0) for cell in cells.values()]
-    peak_rss = max([_peak_rss_bytes()] + cell_peaks)
-    return make_result(
-        scenario.name,
-        scenario.config_dict(),
+    tasks = scenario_tasks(
+        scenario,
         repeats=repeats,
         warmup_runs=warmup_runs,
-        cells=cells,
-        peak_rss_bytes=peak_rss,
+        collect_health=collect_health,
     )
+    if workers <= 1:
+        results = _cells_serial(tasks, repeats=repeats, progress=progress, cache=cache)
+        return bench_document(scenario, results, repeats=repeats, warmup_runs=warmup_runs)
+
+    from ..exec import DEFAULT_RUNS_DIR, Executor, ExecutorConfig, RunJournal
+
+    config = ExecutorConfig(
+        workers=workers,
+        cell_timeout=cell_timeout,
+        retries=retries,
+        heartbeat_interval=heartbeat_interval,
+    )
+    journal = RunJournal.create(
+        tasks,
+        kind="bench",
+        meta={
+            "scenario": scenario.name,
+            "repeats": repeats,
+            "warmup_runs": warmup_runs,
+            "collect_health": collect_health,
+            "out": out,
+        },
+        executor=config.to_dict(),
+        runs_dir=runs_dir if runs_dir is not None else DEFAULT_RUNS_DIR,
+        run_id=run_id,
+    )
+    if progress is not None:
+        progress(
+            f"bench run {journal.run_id}: {len(tasks)} cells across "
+            f"{workers} workers (journal: {journal.root})"
+        )
+    results = Executor(config, progress=progress, cache=cache).run_journal(journal)
+    return bench_document(scenario, results, repeats=repeats, warmup_runs=warmup_runs)

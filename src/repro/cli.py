@@ -36,7 +36,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .api import RunRequest, RunResult, execute
 from .config import DeepUMConfig
@@ -92,8 +92,14 @@ def _error_tail(error: str, limit: int = 60) -> str:
     return tail[:limit]
 
 
+def _write_json(path: str, doc: Any) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 # --------------------------------------------------------------------- #
-# the executor path shared by run / sweep-degree (and runs resume)
+# the executor path shared by the journaled commands (and runs resume)
 # --------------------------------------------------------------------- #
 
 
@@ -128,11 +134,18 @@ def _print_cache_summary(cache) -> None:
 
 
 def _run_journaled(tasks, *, kind: str, meta: dict[str, Any],
-                   args: argparse.Namespace,
-                   recorder=None) -> dict[str, dict[str, Any]]:
-    """Create a journal for ``tasks`` and run it through the executor."""
-    from .exec import Executor, RunJournal
+                   args: argparse.Namespace) -> dict[str, dict[str, Any]]:
+    """Create a journal for ``tasks`` and run it through the executor.
 
+    Per-policy sim timelines need in-process recorders; across workers,
+    ``--obs`` (where the command has it) records the *executor* timeline
+    instead (cell spans/instants on the wall-clock "exec" track).
+    """
+    from .exec import Executor, RunJournal
+    from .obs import SpanRecorder, write_chrome_trace
+
+    obs = getattr(args, "obs", None)
+    recorder = SpanRecorder() if obs else None
     config = _executor_config(args)
     cache = _cache_from_args(args)
     journal = RunJournal.create(tasks, kind=kind, meta=meta,
@@ -144,25 +157,45 @@ def _run_journaled(tasks, *, kind: str, meta: dict[str, Any],
                         cache=cache)
     results = executor.run_journal(journal)
     _print_cache_summary(cache)
+    if recorder is not None:
+        write_chrome_trace(recorder, obs)
+        print(f"executor timeline: {obs}")
     return results
 
 
+# Every journal kind renders its output through one ``(results, meta)``
+# function in RENDERERS, called by the live command and by ``runs resume``
+# alike, so a resumed run prints (and writes) exactly what the live one did.
+
+
+def _in_policy_order(results: dict[str, dict[str, Any]],
+                     meta: dict[str, Any]) -> list[RunResult]:
+    """Parsed results in the command line's policy order (a reloaded
+    journal alphabetizes its cells)."""
+    order = list(meta.get("policies") or [])
+    parsed = [RunResult.from_dict(doc) for doc in results.values()]
+    parsed.sort(key=lambda r: order.index(r.request.policy)
+                if r.request.policy in order else len(order))
+    return parsed
+
+
 def _render_run_results(results: dict[str, dict[str, Any]],
+                        meta: dict[str, Any],
                         notes: Optional[dict[str, str]] = None) -> int:
     """The ``repro run`` policy table, from result documents.
 
-    ``notes`` maps a cell key to the note column of its finished row.
+    ``notes`` (serial runs only) maps a cell key to the note column of its
+    finished row.
     """
     rows = []
     bad = 0
-    parsed = {key: RunResult.from_dict(doc) for key, doc in results.items()}
-    # Journal reload alphabetizes task order and the serial path keeps the
-    # command-line order, so find the UM reference time up front rather
-    # than relying on "um runs first".
+    parsed = _in_policy_order(results, meta)
+    # UM may be listed anywhere on the command line, so find the UM
+    # reference time up front rather than relying on "um runs first".
     um_sec = next(
-        (r.seconds_per_100_iterations for r in parsed.values()
+        (r.seconds_per_100_iterations for r in parsed
          if r.request.policy == "um" and r.ok), None)
-    for key, res in parsed.items():
+    for res in parsed:
         policy = res.request.policy
         if res.status == "oom":
             rows.append([policy, None, None, None,
@@ -177,7 +210,7 @@ def _render_run_results(results: dict[str, dict[str, Any]],
         rows.append([policy, sec,
                      (um_sec / sec) if um_sec and sec else None,
                      res.faults_per_iteration,
-                     notes.get(key, "") if notes else ""])
+                     notes.get(res.request.cell_key, "") if notes else ""])
     print(format_table(
         ["policy", "s/100 iters", "speedup vs UM", "faults/iter", "note"],
         rows))
@@ -185,7 +218,7 @@ def _render_run_results(results: dict[str, dict[str, Any]],
 
 
 def _render_sweep_results(results: dict[str, dict[str, Any]],
-                          title: str = "prefetch degree sweep") -> int:
+                          meta: dict[str, Any]) -> int:
     """The ``repro sweep-degree`` table, from executor result documents."""
     rows = []
     bad = 0
@@ -203,6 +236,7 @@ def _render_sweep_results(results: dict[str, dict[str, Any]],
     # Journal reload alphabetizes cell keys; the sweep reads best smallest
     # degree first.
     rows.sort(key=lambda row: row[0])
+    title = f"{meta.get('model', '?')}: prefetch degree sweep"
     print(format_table(["N", "s/100 iters", "faults/iter", "note"], rows,
                        title=title))
     return 1 if bad else 0
@@ -242,6 +276,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     policies = _parse_policies(args.policies)
     if args.obs:
         _require_writable_dir(args.obs, "--obs")
+    meta = {"model": args.model, "batch": batch, "scale": scale,
+            "policies": list(policies)}
 
     def request(policy: str, recorder=None) -> RunRequest:
         return RunRequest(
@@ -256,26 +292,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.workers > 1:
         from .exec import experiment_task
 
-        recorder = None
-        if args.obs:
-            # Per-policy sim timelines need in-process recorders; across
-            # workers, --obs records the *executor* timeline instead
-            # (cell spans/instants on the wall-clock "exec" track).
-            from .obs import SpanRecorder
-
-            recorder = SpanRecorder()
         tasks = [experiment_task(request(policy)) for policy in policies]
-        results = _run_journaled(
-            tasks, kind="run", args=args, recorder=recorder,
-            meta={"model": args.model, "batch": batch, "scale": scale,
-                  "policies": list(policies)},
-        )
-        if recorder is not None:
-            from .obs import write_chrome_trace
-
-            write_chrome_trace(recorder, args.obs)
-            print(f"executor timeline: {args.obs}")
-        return _render_run_results(results)
+        return _render_run_results(
+            _run_journaled(tasks, kind="run", args=args, meta=meta), meta)
 
     results: dict[str, dict[str, Any]] = {}
     notes: dict[str, str] = {}
@@ -302,7 +321,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             notes[result.request.cell_key] = f"trace: {path}"
             breakdowns.append((policy, recorder))
         results[result.request.cell_key] = result.to_dict()
-    exit_code = _render_run_results(results, notes)
+    exit_code = _render_run_results(results, meta, notes)
     for policy, recorder in breakdowns:
         print()
         print(phase_breakdown_table(
@@ -312,13 +331,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _render_serve_results(results: dict[str, dict[str, Any]],
-                          out: Optional[str] = None) -> int:
-    """The ``repro serve`` latency table, from executor result documents."""
+                          meta: dict[str, Any]) -> int:
+    """The ``repro serve`` latency table, from executor result documents;
+    writes the per-policy snapshots to ``meta["out"]`` when set."""
     rows = []
     bad = 0
     artifact: dict[str, Any] = {}
-    for doc in results.values():
-        res = RunResult.from_dict(doc)
+    for res in _in_policy_order(results, meta):
         policy = res.request.policy
         if res.status == "oom":
             rows.append([policy, None, None, None, None, None,
@@ -342,10 +361,9 @@ def _render_serve_results(results: dict[str, dict[str, Any]],
         ["policy", "p50 ms", "p95 ms", "p99 ms", "SLO viol", "req/s",
          "note"],
         rows))
+    out = meta.get("out")
     if out and artifact:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(artifact, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out, artifact)
         print(f"latency percentiles: {out}")
     return 1 if bad else 0
 
@@ -381,6 +399,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             seed=seed, kind="serve", serve=spec, recorder=recorder,
         )
 
+    meta = {"scenario": args.scenario, "batch": batch, "scale": scale,
+            "policies": list(policies), "serve": spec.to_dict(),
+            "out": args.out}
     system = request(policies[0]).resolved().system
     assert system is not None
     print(f"serve {args.scenario}: {scenario.model} @ paper batch {batch}, "
@@ -389,26 +410,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
           f"{scenario.oversubscription:g}x oversubscribed)")
 
     if args.workers > 1:
-        from .exec import serve_task
+        from .exec import experiment_task
 
-        recorder = None
-        if args.obs:
-            from .obs import SpanRecorder
-
-            recorder = SpanRecorder()
-        tasks = [serve_task(request(policy)) for policy in policies]
-        results = _run_journaled(
-            tasks, kind="serve", args=args, recorder=recorder,
-            meta={"scenario": args.scenario, "batch": batch, "scale": scale,
-                  "policies": list(policies), "serve": spec.to_dict(),
-                  "out": args.out},
-        )
-        if recorder is not None:
-            from .obs import write_chrome_trace
-
-            write_chrome_trace(recorder, args.obs)
-            print(f"executor timeline: {args.obs}")
-        return _render_serve_results(results, out=args.out)
+        tasks = [experiment_task(request(policy)) for policy in policies]
+        return _render_serve_results(
+            _run_journaled(tasks, kind="serve", args=args, meta=meta), meta)
 
     results = {}
     for policy in policies:
@@ -429,7 +435,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             write_chrome_trace(recorder, path)
             print(f"trace: {path}")
         results[res.request.cell_key] = res.to_dict()
-    return _render_serve_results(results, out=args.out)
+    return _render_serve_results(results, meta)
 
 
 def _recorded_run(args: argparse.Namespace, policy: str):
@@ -520,7 +526,8 @@ def cmd_sweep_degree(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
     system = calibrate_system(args.model, scale=scale)
     degrees = [int(d) for d in args.degrees.split(",")]
-    title = f"{args.model}: prefetch degree sweep"
+    meta = {"model": args.model, "batch": batch, "scale": scale,
+            "degrees": degrees}
 
     def request(degree: int) -> RunRequest:
         return RunRequest(
@@ -538,17 +545,14 @@ def cmd_sweep_degree(args: argparse.Namespace) -> int:
                             key=f"{args.model}@{batch}/deepum/N{degree}")
             for degree in degrees
         ]
-        results = _run_journaled(
-            tasks, kind="sweep-degree", args=args,
-            meta={"model": args.model, "batch": batch, "scale": scale,
-                  "degrees": degrees},
-        )
-        return _render_sweep_results(results, title=title)
+        results = _run_journaled(tasks, kind="sweep-degree", args=args,
+                                 meta=meta)
+        return _render_sweep_results(results, meta)
 
     results = {}
     for degree in degrees:
         results[f"N{degree}"] = execute(request(degree)).to_dict()
-    return _render_sweep_results(results, title=title)
+    return _render_sweep_results(results, meta)
 
 
 def cmd_bench_list(args: argparse.Namespace) -> int:
@@ -567,13 +571,14 @@ def cmd_bench_list(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_run(args: argparse.Namespace) -> int:
-    from .bench import SCENARIOS, run_scenario, write_result
+    from .bench import run_scenario
+    from .bench.manifest import get_scenario
     from .bench.runner import BenchRunError
 
-    scenario = SCENARIOS.get(args.scenario)
-    if scenario is None:
-        known = ", ".join(sorted(SCENARIOS))
-        raise SystemExit(f"unknown scenario {args.scenario!r}; known: {known}")
+    try:
+        scenario = get_scenario(args.scenario)
+    except KeyError as exc:
+        raise SystemExit(exc.args[0])
     out = args.out or f"BENCH_{scenario.name}.json"
     _require_writable_dir(out, "--out")
     cache = _cache_from_args(args)
@@ -593,13 +598,36 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
                 "`repro runs resume`)")
         raise SystemExit(f"bench run: {exc}{hint}")
     _print_cache_summary(cache)
+    return _write_bench(doc, out)
+
+
+def _write_bench(doc: dict[str, Any], out: str) -> int:
+    from .bench import write_result
+
     write_result(doc, out)
     print(f"wrote {out}")
     return 0
 
 
+def _render_bench_results(results: dict[str, dict[str, Any]],
+                          meta: dict[str, Any]) -> int:
+    """Rebuild a journaled bench run's BENCH file from its cell results."""
+    from .bench.manifest import get_scenario
+    from .bench.runner import BenchRunError, bench_document
+
+    try:
+        scenario = get_scenario(str(meta.get("scenario")))
+        doc = bench_document(scenario, results,
+                             repeats=int(meta.get("repeats", 1)),
+                             warmup_runs=int(meta.get("warmup_runs", 0)))
+    except (KeyError, BenchRunError) as exc:
+        raise SystemExit(f"runs resume: {exc.args[0]}")
+    return _write_bench(doc, meta.get("out") or f"BENCH_{scenario.name}.json")
+
+
 def cmd_doctor(args: argparse.Namespace) -> int:
     from .obs.doctor import format_doctor, run_doctor, validate_doctor_report
+    from .obs.prof import NeutralityError
 
     try:
         report = run_doctor(
@@ -613,12 +641,12 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         )
     except KeyError as exc:
         raise SystemExit(f"doctor: {exc.args[0]}")
+    except NeutralityError as exc:
+        raise SystemExit(f"doctor: {exc}")
     validate_doctor_report(report)
     if args.out:
         _require_writable_dir(args.out, "--out")
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, report)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -654,15 +682,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
     validate_profile(doc)
     if args.out:
         _require_writable_dir(args.out, "--out")
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, doc)
     if args.speedscope:
         _require_writable_dir(args.speedscope, "--speedscope")
         flame = validate_speedscope(speedscope_document(doc))
-        with open(args.speedscope, "w") as fh:
-            json.dump(flame, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.speedscope, flame)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -720,17 +744,14 @@ def cmd_trace_diff(args: argparse.Namespace) -> int:
     print(format_diff(diff, top=args.top))
     if args.out:
         _require_writable_dir(args.out, "--out")
-        with open(args.out, "w") as fh:
-            json.dump(diff.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, diff.to_dict())
         print(f"\nwrote {args.out}")
     return 0
 
 
 def cmd_tournament(args: argparse.Namespace) -> int:
     """Run a policy tournament grid and print the ranking tables."""
-    from .exec import tournament_cell_task
-    from .harness.tournament import TOURNAMENTS, tournament_payloads
+    from .harness.tournament import TOURNAMENTS, tournament_tasks
 
     if args.scenario == "list" or args.list:
         rows = [[s.name, ",".join(s.models),
@@ -749,28 +770,24 @@ def cmd_tournament(args: argparse.Namespace) -> int:
     policies = _parse_policies(args.policies) if args.policies else None
     if args.out:
         _require_writable_dir(args.out, "--out")
-    payloads = tournament_payloads(scenario, policies=policies)
-    tasks = [tournament_cell_task(payload, key)
-             for key, payload in payloads.items()]
-    results = _run_journaled(
-        tasks, kind="tournament", args=args,
-        meta={"scenario": scenario.name,
-              "policies": policies or list(scenario.policies),
-              "out": args.out},
-    )
-    return _render_tournament_results(results, scenario.name, args.out)
+    meta = {"scenario": scenario.name,
+            "policies": policies or list(scenario.policies),
+            "out": args.out}
+    results = _run_journaled(tournament_tasks(scenario, policies=policies),
+                             kind="tournament", args=args, meta=meta)
+    return _render_tournament_results(results, meta)
 
 
 def _render_tournament_results(results: dict[str, dict[str, Any]],
-                               title: str, out: Optional[str]) -> int:
+                               meta: dict[str, Any]) -> int:
     from .harness.tournament import format_tournament, rank_tournament
 
     doc = rank_tournament(results)
+    out = meta.get("out")
     if out:
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    print(format_tournament(doc, title=f"tournament {title}"))
+        _write_json(out, doc)
+    print(format_tournament(
+        doc, title=f"tournament {meta.get('scenario', '?')}"))
     if out:
         print(f"\nwrote {out}")
     bad = sum(1 for cell in doc["cells"] if cell.get("status") != "ok")
@@ -1024,61 +1041,6 @@ def cmd_runs_watch(args: argparse.Namespace) -> int:
         time.sleep(args.interval)
 
 
-def _finalize_resumed(journal, results: dict[str, dict[str, Any]],
-                      args: argparse.Namespace) -> int:
-    """Rebuild each run kind's normal output from the journaled results."""
-    kind = journal.kind
-    if kind == "run":
-        return _render_run_results(results)
-    if kind == "serve":
-        return _render_serve_results(results,
-                                     out=journal.meta.get("out"))
-    if kind == "sweep-degree":
-        meta = journal.meta
-        return _render_sweep_results(
-            results,
-            title=f"{meta.get('model', '?')}: prefetch degree sweep")
-    if kind == "tournament":
-        return _render_tournament_results(
-            results, str(journal.meta.get("scenario", "?")),
-            journal.meta.get("out"))
-    if kind == "bench":
-        from .bench import SCENARIOS, write_result
-        from .bench.runner import (
-            BenchRunError,
-            _peak_rss_bytes,
-            assemble_cells,
-        )
-        from .bench.schema import make_result
-
-        meta = journal.meta
-        scenario = SCENARIOS.get(str(meta.get("scenario")))
-        if scenario is None:
-            print(f"cannot finalize: unknown scenario "
-                  f"{meta.get('scenario')!r} in the journal")
-            _render_status_rows(journal)
-            return 1
-        try:
-            cells = assemble_cells(results)
-        except BenchRunError as exc:
-            raise SystemExit(f"runs resume: {exc}")
-        peak = max([_peak_rss_bytes()]
-                   + [cell.pop("peak_rss_bytes", 0)
-                      for cell in cells.values()])
-        doc = make_result(scenario.name, scenario.config_dict(),
-                          repeats=int(meta.get("repeats", 1)),
-                          warmup_runs=int(meta.get("warmup_runs", 0)),
-                          cells=cells, peak_rss_bytes=peak)
-        out = meta.get("out") or f"BENCH_{scenario.name}.json"
-        write_result(doc, out)
-        print(f"wrote {out}")
-        return 0
-    _render_status_rows(journal)
-    bad = sum(1 for doc in results.values()
-              if doc.get("status") in ("failed", "timeout"))
-    return 1 if bad else 0
-
-
 def cmd_runs_resume(args: argparse.Namespace) -> int:
     from .exec import Executor, ExecutorConfig
 
@@ -1110,7 +1072,24 @@ def cmd_runs_resume(args: argparse.Namespace) -> int:
     else:
         print(f"{journal.kind} {journal.run_id}: all cells already finished")
         results = journal.results()
-    return _finalize_resumed(journal, results, args)
+    render = RENDERERS.get(journal.kind)
+    if render is not None:
+        return render(results, journal.meta)
+    _render_status_rows(journal)
+    bad = sum(1 for doc in results.values()
+              if doc.get("status") in ("failed", "timeout"))
+    return 1 if bad else 0
+
+
+#: Journal kind -> the renderer its live command prints (and writes) with.
+RENDERERS: dict[str, Callable[[dict[str, dict[str, Any]], dict[str, Any]],
+                              int]] = {
+    "run": _render_run_results,
+    "serve": _render_serve_results,
+    "sweep-degree": _render_sweep_results,
+    "tournament": _render_tournament_results,
+    "bench": _render_bench_results,
+}
 
 
 # --------------------------------------------------------------------- #

@@ -22,6 +22,7 @@ produce bit-identical simulated metrics (wall-clock may differ; the
 ``snapshot`` dicts may not).
 """
 
+from ..api import KIND_EXPERIMENT, KIND_SERVE
 from .cache import (
     CACHE_DIR_ENV,
     CACHE_ENABLE_ENV,
@@ -48,16 +49,11 @@ from .journal import (
 from .tasks import (
     INJECT_ENV,
     KIND_BENCH_CELL,
-    KIND_EXPERIMENT,
-    KIND_SERVE,
     KIND_TOURNAMENT_CELL,
     TASK_KINDS,
     Task,
-    bench_cell_task,
     execute_task,
     experiment_task,
-    serve_task,
-    tournament_cell_task,
 )
 from .telemetry import (
     STALL_FACTOR,
@@ -105,11 +101,8 @@ __all__ = [
     "read_heartbeat",
     "watch_snapshot",
     "write_heartbeat",
-    "bench_cell_task",
     "execute_task",
     "experiment_task",
-    "serve_task",
-    "tournament_cell_task",
     "list_runs",
     "new_run_id",
     "validate_state",

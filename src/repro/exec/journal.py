@@ -23,6 +23,10 @@ Layout::
       }
     }
 
+Every task payload is a resolved canonical :class:`repro.api.RunRequest`
+dict (plus run-mode keys for the ``bench-cell``/``tournament-cell``
+kinds); :func:`validate_state` refuses any other.
+
 Every status transition rewrites ``state.json`` atomically (tmp file +
 ``os.replace``), so a killed run leaves a loadable journal: cells still
 marked ``running`` were in flight when the process died and are re-executed
@@ -51,6 +55,7 @@ import time
 import uuid
 from typing import Any, Optional, Sequence
 
+from ..api import RunRequest
 from .tasks import TASK_KINDS, Task
 
 JOURNAL_SCHEMA_VERSION = 1
@@ -91,6 +96,23 @@ def _write_json_atomic(path: str, doc: dict[str, Any]) -> None:
     os.replace(tmp, path)
 
 
+def _unresolved(payload: dict[str, Any]) -> str:
+    """Why ``payload`` is not a resolved canonical request, or ``""``.
+
+    Every task kind carries one, so a payload that does not parse, or
+    leaves batch/scale/system to defaults, would run a different cell
+    than the one journaled (a bench cell keyed by ``paper_batch`` would
+    silently become the grid-midpoint batch).
+    """
+    try:
+        request = RunRequest.from_dict(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    missing = [name for name in ("batch", "scale", "system")
+               if getattr(request, name) is None]
+    return f"no {'/'.join(missing)}" if missing else ""
+
+
 def validate_state(doc: Any) -> dict[str, Any]:
     """Structural validation of a ``state.json`` document."""
     if not isinstance(doc, dict):
@@ -113,6 +135,12 @@ def validate_state(doc: Any) -> dict[str, Any]:
                 f"task {key!r}: unknown kind {entry.get('kind')!r}")
         if not isinstance(entry.get("payload"), dict):
             raise JournalError(f"task {key!r}: payload must be an object")
+        problem = _unresolved(entry["payload"])
+        if problem:
+            raise JournalError(
+                f"task {key!r}: payload is not a resolved RunRequest "
+                f"({problem}); it would not run the journaled cell — start "
+                "the run again")
         if entry.get("status") not in ALL_STATUSES:
             raise JournalError(
                 f"task {key!r}: bad status {entry.get('status')!r}")

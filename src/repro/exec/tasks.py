@@ -22,13 +22,14 @@ import time
 from dataclasses import dataclass
 from typing import Any, Optional
 
-KIND_EXPERIMENT = "experiment"
+from ..api import KIND_EXPERIMENT, REQUEST_KINDS
+
 KIND_BENCH_CELL = "bench-cell"
 KIND_TOURNAMENT_CELL = "tournament-cell"
-KIND_SERVE = "serve"
 
-TASK_KINDS = (KIND_EXPERIMENT, KIND_BENCH_CELL, KIND_TOURNAMENT_CELL,
-              KIND_SERVE)
+#: Request kinds run one ``RunRequest``; the two cell kinds run a request
+#: under a harness mode (bench timing passes, tournament judging).
+TASK_KINDS = REQUEST_KINDS + (KIND_BENCH_CELL, KIND_TOURNAMENT_CELL)
 
 #: Environment variable carrying the fault-injection spec (JSON).
 INJECT_ENV = "REPRO_EXEC_INJECT"
@@ -50,57 +51,25 @@ class Task:
             raise ValueError("task key must be non-empty")
 
 
-def experiment_task(request: Any, key: Optional[str] = None) -> Task:
+def experiment_task(request: Any, key: Optional[str] = None, *,
+                    kind: Optional[str] = None, **mode: Any) -> Task:
     """Build an executor task from a :class:`repro.api.RunRequest`.
 
     The request is resolved first (batch/scale/system pinned) so every
     worker — and every resume — executes exactly the same cell, and so
-    the payload is the canonical form the result cache keys on.
+    the payload is the canonical form the result cache keys on. The task
+    kind defaults to the request's own (``experiment`` or ``serve``).
+    The ``bench-cell`` and ``tournament-cell`` kinds pass theirs plus
+    their run-mode keys (``mode``: ``repeats``/``warmup_runs``/
+    ``collect_health``, or the tournament's ``pressure`` label), which
+    ride next to the canonical request fields.
     """
     resolved = request.resolved()
     return Task(
         key=key if key is not None else resolved.cell_key,
-        kind=KIND_EXPERIMENT,
-        payload=resolved.canonical_payload(),
+        kind=kind if kind is not None else resolved.kind,
+        payload={**resolved.canonical_payload(), **mode},
     )
-
-
-def serve_task(request: Any, key: Optional[str] = None) -> Task:
-    """Build an executor task from a ``kind="serve"`` run request.
-
-    Same canonicalization contract as :func:`experiment_task` — the
-    resolved payload is what the journal records and the result cache
-    keys on — but dispatched to the serve session loop.
-    """
-    resolved = request.resolved()
-    if getattr(resolved, "kind", None) != KIND_SERVE:
-        raise ValueError(
-            f"serve_task needs a kind='serve' request, got "
-            f"{getattr(resolved, 'kind', None)!r}")
-    return Task(
-        key=key if key is not None else resolved.cell_key,
-        kind=KIND_SERVE,
-        payload=resolved.canonical_payload(),
-    )
-
-
-def bench_cell_task(payload: dict[str, Any], key: str) -> Task:
-    """Build an executor task for one bench scenario cell.
-
-    ``payload`` is the dict :func:`repro.bench.runner.run_scenario_cell`
-    accepts (model, batch, policy, iteration pins, repeats, ...).
-    """
-    return Task(key=key, kind=KIND_BENCH_CELL, payload=payload)
-
-
-def tournament_cell_task(payload: dict[str, Any], key: str) -> Task:
-    """Build an executor task for one tournament grid cell.
-
-    ``payload`` is the dict
-    :func:`repro.harness.tournament.run_tournament_cell` accepts (model,
-    batch, policy, pressure, iteration pins, seed, prefetch degree).
-    """
-    return Task(key=key, kind=KIND_TOURNAMENT_CELL, payload=payload)
 
 
 def maybe_inject_fault(key: str, attempt: int) -> None:
@@ -143,15 +112,10 @@ def execute_task(kind: str, payload: dict[str, Any],
     """
     from .telemetry import TELEMETRY
 
-    if kind == KIND_EXPERIMENT:
+    if kind in REQUEST_KINDS:
         from ..api import RunRequest, execute
 
-        TELEMETRY.set_phase("run")
-        return execute(RunRequest.from_dict(payload)).to_dict()
-    if kind == KIND_SERVE:
-        from ..api import RunRequest, execute
-
-        TELEMETRY.set_phase("serve")
+        TELEMETRY.set_phase("run" if kind == KIND_EXPERIMENT else kind)
         return execute(RunRequest.from_dict(payload)).to_dict()
     if kind == KIND_BENCH_CELL:
         from ..bench.runner import run_scenario_cell

@@ -10,15 +10,20 @@ way ``repro doctor`` judges a run — elapsed simulated time for the rank,
 time but only by spraying the link with wasted prefetches is visible at a
 glance.
 
-Cells are plain payload dicts executed by :func:`run_tournament_cell`
-(task kind ``tournament-cell``), so a killed tournament resumes via
-``repro runs resume`` with bit-identical simulated metrics.
+Each cell is a ``tournament-cell`` executor task: the cell's canonical
+:class:`~repro.api.RunRequest` payload, its simulated machine already
+calibrated to the cell's pressure, plus ``pressure`` as a label. Workers
+run it through :func:`run_tournament_cell`, and a killed tournament
+resumes via ``repro runs resume`` with bit-identical simulated metrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
+
+if TYPE_CHECKING:
+    from ..exec.tasks import Task
 
 #: Default entrants: every registered prefetch policy plus the naive UM
 #: floor, so every ranking shows what any prefetching buys at all.
@@ -84,96 +89,78 @@ def cell_key(model: str, batch: int, pressure: float, policy: str) -> str:
     return f"{model}@{batch}/x{pressure:g}/{policy}"
 
 
-def tournament_payloads(
+def tournament_tasks(
     scenario: TournamentScenario,
     policies: Optional[list[str]] = None,
-) -> dict[str, dict[str, Any]]:
-    """Key -> payload for every cell of the grid, batch pinned per model."""
+) -> list[Task]:
+    """One task per grid cell, batch pinned per model and the simulated
+    machine calibrated per (model, pressure)."""
+    from ..api import RunRequest
+    from ..config import DeepUMConfig
+    from ..exec.tasks import KIND_TOURNAMENT_CELL, experiment_task
     from ..models.registry import get_model_config
+    from .experiment import calibrate_system, policy_accepts_config
 
     entrants = list(policies) if policies is not None \
         else list(scenario.policies)
-    payloads: dict[str, dict[str, Any]] = {}
+    tasks: list[Task] = []
     for model in scenario.models:
         cfg = get_model_config(model)
         batch = cfg.fig9_batches[len(cfg.fig9_batches) // 2]
         for pressure in scenario.pressures:
+            system = calibrate_system(model, oversubscription=pressure)
             for policy in entrants:
-                key = cell_key(model, batch, pressure, policy)
-                payloads[key] = {
-                    "model": model,
-                    "batch": batch,
-                    "policy": policy,
-                    "pressure": pressure,
-                    "warmup_iterations": scenario.warmup_iterations,
-                    "measure_iterations": scenario.measure_iterations,
-                    "seed": scenario.seed,
-                    "prefetch_degree": scenario.prefetch_degree,
-                }
-    return payloads
+                request = RunRequest(
+                    model=model, policy=policy, batch=batch,
+                    warmup_iterations=scenario.warmup_iterations,
+                    measure_iterations=scenario.measure_iterations,
+                    seed=scenario.seed,
+                    deepum_config=(
+                        DeepUMConfig(prefetch_degree=scenario.prefetch_degree)
+                        if policy_accepts_config(policy) else None
+                    ),
+                    system=system,
+                )
+                tasks.append(experiment_task(
+                    request, cell_key(model, batch, pressure, policy),
+                    kind=KIND_TOURNAMENT_CELL, pressure=pressure))
+    return tasks
 
 
 def run_tournament_cell(payload: dict[str, Any]) -> dict[str, Any]:
-    """Run and judge one tournament cell from its plain payload dict.
+    """Run and judge one ``tournament-cell`` task payload.
 
-    The judging (policy health, memory timeline, doctor findings) happens
-    here, inside the worker, because the recorder that feeds it is
-    in-process state that cannot cross the executor's process boundary.
+    The judging (:func:`~repro.obs.doctor.judge` plus doctor findings)
+    happens here, inside the worker, because the recorder that feeds it
+    is in-process state that cannot cross the executor's process
+    boundary.
     """
     from ..api import RunRequest, execute
-    from ..config import DeepUMConfig
-    from ..obs import SpanRecorder
-    from ..obs.doctor import diagnose
-    from ..obs.health import policy_health
-    from ..obs.memory import memory_timeline
-    from .experiment import calibrate_system, policy_accepts_config
+    from ..obs.doctor import diagnose, judge
 
-    model = payload["model"]
-    policy = payload["policy"]
-    pressure = float(payload["pressure"])
-    system = calibrate_system(model, oversubscription=pressure)
-
-    def request(recorder: Any) -> RunRequest:
-        return RunRequest(
-            model=model, policy=policy, batch=payload["batch"],
-            warmup_iterations=payload["warmup_iterations"],
-            measure_iterations=payload["measure_iterations"],
-            seed=payload["seed"],
-            deepum_config=(
-                DeepUMConfig(prefetch_degree=payload["prefetch_degree"])
-                if policy_accepts_config(policy) else None
-            ),
-            system=system, recorder=recorder,
-        )
-
-    recorder: Optional[SpanRecorder] = SpanRecorder()
-    try:
-        result = execute(request(recorder))
-    except TypeError:
-        # Tensor-swap facades cannot carry a recorder; run unjudged.
-        recorder = None
-        result = execute(request(None))
+    request = RunRequest.from_dict(payload)
+    judged = judge(request)
+    # Tensor-swap facades cannot carry a recorder; run those unjudged.
+    result = judged.result if judged is not None else execute(request)
     doc: dict[str, Any] = {
         "status": result.status,
         "error": result.error,
-        "model": model,
-        "batch": payload["batch"],
-        "policy": policy,
-        "pressure": pressure,
+        "model": request.model,
+        "batch": request.batch,
+        "policy": request.policy,
+        "pressure": float(payload["pressure"]),
         "snapshot": result.snapshot,
         "policy_health": None,
         "memory": None,
         "findings": [],
     }
-    if result.ok and recorder is not None:
-        assert result.experiment is not None
-        driver = getattr(result.experiment.facade, "driver", None)
-        health = policy_health(recorder, driver)
-        mem = memory_timeline(
-            recorder, int(system.gpu.memory_bytes)).summary()
-        doc["policy_health"] = health.to_dict()
+    if judged is not None and judged.health is not None:
+        assert judged.memory is not None
+        mem = judged.memory.summary()
+        doc["policy_health"] = judged.health.to_dict()
         doc["memory"] = mem
-        doc["findings"] = [f.to_dict() for f in diagnose(health, memory=mem)]
+        doc["findings"] = [
+            f.to_dict() for f in diagnose(judged.health, memory=mem)]
     return doc
 
 

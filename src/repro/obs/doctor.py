@@ -16,12 +16,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
 from .decisions import ALL_CAUSES, CAUSE_CHAIN_BREAK, CAUSE_EVICTED, CAUSE_LATE
 from .health import PolicyHealth, policy_health, validate_policy_health
-from .memory import memory_timeline
+from .memory import MemoryTimeline, memory_timeline
+from .prof import check_neutral
 from .recorder import SpanRecorder
+
+if TYPE_CHECKING:
+    from ..api import RunRequest, RunResult
 
 DOCTOR_SCHEMA_VERSION = 1
 
@@ -236,7 +240,45 @@ def diagnose(health: PolicyHealth,
     return findings
 
 
-def run_doctor(scenario, *, warmup_iterations: Optional[int] = None,
+class Judgement(NamedTuple):
+    """One cell run with decision attribution on (see :func:`judge`)."""
+
+    result: "RunResult"
+    recorder: SpanRecorder
+    #: Both ``None`` unless the cell finished ``ok``.
+    health: Optional[PolicyHealth]
+    memory: Optional[MemoryTimeline]
+
+
+def judge(request: "RunRequest") -> Optional[Judgement]:
+    """Run ``request`` recorded and judge it: the one instrumented pass.
+
+    Every judge of a cell — doctor, report, tournament, ``bench --health``
+    — runs it through here, so they all see the same recipe: a fresh
+    :class:`SpanRecorder`, then :func:`policy_health` and the
+    :func:`memory_timeline` at the request's GPU capacity. Returns
+    ``None`` for tensor-swap facades (no UM engine to record);
+    ``result.wall_seconds`` is the instrumented execution's wall time.
+    """
+    from ..api import execute
+
+    recorder = SpanRecorder()
+    t0 = time.perf_counter()
+    try:
+        result = execute(replace(request, recorder=recorder))
+    except TypeError:
+        return None
+    result.wall_seconds = time.perf_counter() - t0
+    if not result.ok:
+        return Judgement(result, recorder, None, None)
+    assert result.experiment is not None and result.request.system is not None
+    driver = getattr(result.experiment.facade, "driver", None)
+    capacity = int(result.request.system.gpu.memory_bytes)
+    return Judgement(result, recorder, policy_health(recorder, driver),
+                     memory_timeline(recorder, capacity))
+
+
+def run_doctor(scenario: Any, *, warmup_iterations: Optional[int] = None,
                measure_iterations: Optional[int] = None,
                batch: Optional[int] = None,
                scale: Optional[float] = None,
@@ -248,58 +290,36 @@ def run_doctor(scenario, *, warmup_iterations: Optional[int] = None,
     registered scenario name; ``batch``/``scale``/``seed`` and the
     iteration counts override the scenario's pins when given. Tensor-swap
     policies (no UM engine) are skipped and listed in the report; OOM and
-    failed cells are reported as such.
+    failed cells are reported as such. Raises
+    :class:`~repro.obs.prof.NeutralityError` if the uninstrumented
+    reference pass disagrees with the instrumented one.
     """
     # Imported lazily: repro.obs must stay importable without dragging the
     # harness/bench layers (and their model registry) into every trace use.
-    from ..api import RunRequest, execute
-    from ..bench.manifest import SCENARIOS
-    from ..config import DeepUMConfig
-    from ..harness.experiment import policy_accepts_config
+    from ..api import execute
+    from ..bench.manifest import get_scenario
 
-    if isinstance(scenario, str):
-        resolved = SCENARIOS.get(scenario)
-        if resolved is None:
-            known = ", ".join(sorted(SCENARIOS))
-            raise KeyError(f"unknown scenario {scenario!r}; known: {known}")
-        scenario = resolved
-    warmup = (scenario.warmup_iterations if warmup_iterations is None
-              else warmup_iterations)
-    measure = (scenario.measure_iterations if measure_iterations is None
-               else measure_iterations)
-    paper_batch = scenario.paper_batch if batch is None else batch
+    scenario = get_scenario(scenario)
     report: dict = {
         "doctor_schema_version": DOCTOR_SCHEMA_VERSION,
         "scenario": scenario.name,
         "model": scenario.model,
-        "paper_batch": paper_batch,
+        "paper_batch": scenario.paper_batch if batch is None else batch,
         "cells": {},
         "skipped": {},
     }
-    for policy in scenario.policies:
-        cell = f"{scenario.model}@{paper_batch}/{policy}"
+    requests = scenario.requests(
+        batch=batch, scale=scale, seed=seed,
+        warmup_iterations=warmup_iterations,
+        measure_iterations=measure_iterations)
+    for cell, request in requests.items():
         if progress:
             progress(f"doctor: running {cell} ...")
-        recorder = SpanRecorder()
-        request = RunRequest(
-            model=scenario.model, policy=policy, batch=paper_batch,
-            scale=scale, warmup_iterations=warmup,
-            measure_iterations=measure,
-            seed=scenario.seed if seed is None else seed,
-            deepum_config=(
-                DeepUMConfig(prefetch_degree=scenario.prefetch_degree)
-                if policy_accepts_config(policy) else None
-            ),
-            recorder=recorder,
-        )
-        try:
-            t0 = time.perf_counter()
-            result = execute(request)
-            instrumented_seconds = time.perf_counter() - t0
-        except TypeError:
-            # No UM engine to instrument (tensor-swap facade).
+        judged = judge(request)
+        if judged is None:
             report["skipped"][cell] = "no UM engine (tensor-swap policy)"
             continue
+        result = judged.result
         if result.status == "oom":
             report["skipped"][cell] = f"OOM: {result.error}"
             continue
@@ -307,29 +327,30 @@ def run_doctor(scenario, *, warmup_iterations: Optional[int] = None,
             report["skipped"][cell] = f"{result.status}: {result.error}"
             continue
         # The same cell uninstrumented, timed: what did observing it cost?
+        # Its snapshot must match, or the ratio compares two simulations.
         t0 = time.perf_counter()
-        execute(replace(request, recorder=None))
+        reference = execute(request)
         reference_seconds = time.perf_counter() - t0
+        check_neutral(cell, reference.snapshot or {}, result.snapshot or {},
+                      "decision attribution")
+        assert result.wall_seconds is not None
         wall = {
-            "instrumented_seconds": instrumented_seconds,
+            "instrumented_seconds": result.wall_seconds,
             "reference_seconds": reference_seconds,
             "overhead_ratio": (
-                instrumented_seconds / reference_seconds
+                result.wall_seconds / reference_seconds
                 if reference_seconds > 0 else None
             ),
         }
-        assert result.experiment is not None
-        driver = getattr(result.experiment.facade, "driver", None)
-        health = policy_health(recorder, driver)
-        capacity = int(result.request.system.gpu.memory_bytes)
-        mem = memory_timeline(recorder, capacity).summary()
+        assert judged.health is not None and judged.memory is not None
+        mem = judged.memory.summary()
         report["cells"][cell] = {
-            "policy_health": health.to_dict(),
+            "policy_health": judged.health.to_dict(),
             "memory": mem,
             "wall": wall,
             "findings": [
                 f.to_dict()
-                for f in diagnose(health, memory=mem, wall=wall)
+                for f in diagnose(judged.health, memory=mem, wall=wall)
             ],
         }
     return report

@@ -342,6 +342,18 @@ class SamplingProfiler:
 # --------------------------------------------------------------------- #
 
 
+def check_neutral(cell: str, reference: dict[str, Any],
+                  observed: dict[str, Any], observer: str) -> None:
+    """Raise :class:`NeutralityError` unless the observed pass reproduced
+    the uninstrumented reference pass's simulated metrics exactly."""
+    diffs = sorted(k for k in set(reference) | set(observed)
+                   if reference.get(k) != observed.get(k))
+    if diffs:
+        raise NeutralityError(
+            f"{cell}: {observer} changed simulated metrics (keys: "
+            f"{', '.join(diffs)}); {observer} must be observation-only")
+
+
 def profile_request(request: Any, *, sample: bool = False,
                     sample_interval: float = 0.005,
                     check_neutrality: bool = True) -> dict[str, Any]:
@@ -399,14 +411,8 @@ def profile_request(request: Any, *, sample: bool = False,
     profiled_sim = sim_snapshot(profiled)
 
     neutral = profiled_sim == reference_sim
-    if check_neutrality and not neutral:
-        diffs = sorted(
-            k for k in set(reference_sim) | set(profiled_sim)
-            if reference_sim.get(k) != profiled_sim.get(k))
-        raise NeutralityError(
-            f"{req.cell_key}: profiling changed simulated metrics "
-            f"(keys: {', '.join(diffs)}); the profiler must be "
-            "observation-only")
+    if check_neutrality:
+        check_neutral(req.cell_key, reference_sim, profiled_sim, "profiling")
 
     total = profiler.window_seconds
     doc: dict[str, Any] = {
@@ -438,46 +444,25 @@ def profile_scenario(scenario: Any, *, sample: bool = False,
     The profile document mirrors the doctor's shape: one entry per
     UM-family cell, tensor-swap policies listed under ``skipped``.
     """
-    from ..api import RunRequest
-    from ..bench.manifest import SCENARIOS
-    from ..config import DeepUMConfig
-    from ..harness.experiment import policy_accepts_config
+    from ..bench.manifest import get_scenario
 
-    if isinstance(scenario, str):
-        resolved = SCENARIOS.get(scenario)
-        if resolved is None:
-            known = ", ".join(sorted(SCENARIOS))
-            raise KeyError(f"unknown scenario {scenario!r}; known: {known}")
-        scenario = resolved
-    paper_batch = scenario.paper_batch if batch is None else batch
+    scenario = get_scenario(scenario)
     doc: dict[str, Any] = {
         "profile_schema_version": PROFILE_SCHEMA_VERSION,
         "scenario": scenario.name,
         "model": scenario.model,
-        "paper_batch": paper_batch,
+        "paper_batch": scenario.paper_batch if batch is None else batch,
         "sampled": sample,
         "cells": {},
         "skipped": {},
     }
-    for policy in scenario.policies:
-        cell = f"{scenario.model}@{paper_batch}/{policy}"
+    requests = scenario.requests(
+        batch=batch, scale=scale, seed=seed,
+        warmup_iterations=warmup_iterations,
+        measure_iterations=measure_iterations)
+    for cell, request in requests.items():
         if progress:
             progress(f"profile: running {cell} (reference + profiled) ...")
-        request = RunRequest(
-            model=scenario.model, policy=policy, batch=paper_batch,
-            scale=scale,
-            warmup_iterations=(scenario.warmup_iterations
-                               if warmup_iterations is None
-                               else warmup_iterations),
-            measure_iterations=(scenario.measure_iterations
-                                if measure_iterations is None
-                                else measure_iterations),
-            seed=scenario.seed if seed is None else seed,
-            deepum_config=(
-                DeepUMConfig(prefetch_degree=scenario.prefetch_degree)
-                if policy_accepts_config(policy) else None
-            ),
-        )
         try:
             doc["cells"][cell] = profile_request(
                 request, sample=sample, sample_interval=sample_interval)

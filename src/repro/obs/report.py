@@ -27,9 +27,8 @@ import html as _html
 from typing import Any, Callable, Iterable, Optional
 
 from .diff import BUCKETS, RunDiff, diff_runs
-from .doctor import diagnose
-from .health import policy_health
-from .memory import MemoryTimeline, memory_timeline
+from .doctor import diagnose, judge
+from .memory import MemoryTimeline
 from .recorder import SpanRecorder
 
 REPORT_SCHEMA_VERSION = 1
@@ -81,87 +80,61 @@ def scenario_report(scenario: Any, *,
                     ) -> dict[str, Any]:
     """Run ``scenario`` instrumented and build the report document.
 
-    One instrumented pass per policy (identical recipe to ``repro
-    doctor``); tensor-swap policies and OOM cells are listed as skipped.
-    When two or more UM cells succeed, the document carries the trace diff
-    of the first two (``um`` vs ``deepum`` preferred, in that A/B order).
+    One :func:`~repro.obs.doctor.judge` pass per scenario cell (the
+    recipe ``repro doctor`` uses); tensor-swap policies and OOM cells are
+    listed as skipped. When two or more UM cells succeed, the document
+    carries the trace diff of the first two (``um`` vs ``deepum``
+    preferred, in that A/B order).
     """
-    from ..api import RunRequest, execute
-    from ..bench.manifest import SCENARIOS
-    from ..config import DeepUMConfig
-    from ..harness.experiment import policy_accepts_config
+    from ..bench.manifest import get_scenario
 
-    if isinstance(scenario, str):
-        resolved = SCENARIOS.get(scenario)
-        if resolved is None:
-            known = ", ".join(sorted(SCENARIOS))
-            raise KeyError(f"unknown scenario {scenario!r}; known: {known}")
-        scenario = resolved
-    warmup = (scenario.warmup_iterations if warmup_iterations is None
-              else warmup_iterations)
-    measure = (scenario.measure_iterations if measure_iterations is None
-               else measure_iterations)
-    paper_batch = scenario.paper_batch if batch is None else batch
+    scenario = get_scenario(scenario)
     doc: dict[str, Any] = {
         "report_schema_version": REPORT_SCHEMA_VERSION,
         "kind": "scenario",
         "scenario": scenario.name,
         "model": scenario.model,
-        "paper_batch": paper_batch,
+        "paper_batch": scenario.paper_batch if batch is None else batch,
         "cells": {},
         "skipped": {},
         "diff": None,
         "diff_pair": None,
     }
-    recorders: dict[str, SpanRecorder] = {}
-    for policy in scenario.policies:
-        cell = f"{scenario.model}@{paper_batch}/{policy}"
+    requests = scenario.requests(
+        batch=batch, scale=scale, seed=seed,
+        warmup_iterations=warmup_iterations,
+        measure_iterations=measure_iterations)
+    recorders: dict[str, tuple[str, SpanRecorder]] = {}
+    for cell, request in requests.items():
         if progress:
             progress(f"report: running {cell} ...")
-        recorder = SpanRecorder()
-        request = RunRequest(
-            model=scenario.model, policy=policy, batch=paper_batch,
-            scale=scale, warmup_iterations=warmup,
-            measure_iterations=measure,
-            seed=scenario.seed if seed is None else seed,
-            deepum_config=(
-                DeepUMConfig(prefetch_degree=scenario.prefetch_degree)
-                if policy_accepts_config(policy) else None
-            ),
-            recorder=recorder,
-        )
-        try:
-            result = execute(request)
-        except TypeError:
+        judged = judge(request)
+        if judged is None:
             doc["skipped"][cell] = "no UM engine (tensor-swap policy)"
             continue
+        result = judged.result
         if not result.ok:
             doc["skipped"][cell] = f"{result.status}: {result.error}"
             continue
-        assert result.experiment is not None
-        capacity = int(result.request.system.gpu.memory_bytes)  # type: ignore[union-attr]
-        driver = getattr(result.experiment.facade, "driver", None)
-        health = policy_health(recorder, driver)
-        timeline = memory_timeline(recorder, capacity)
-        mem_summary = timeline.summary()
+        assert judged.health is not None and judged.memory is not None
         doc["cells"][cell] = {
-            "policy": policy,
+            "policy": request.policy,
             "seconds_per_100_iterations": result.seconds_per_100_iterations,
             "faults_per_iteration": result.faults_per_iteration,
-            "policy_health": health.to_dict(),
-            "findings": [f.to_dict()
-                         for f in diagnose(health, memory=mem_summary)],
-            "memory": timeline.to_dict(),
-            "kernels": _kernel_rows(recorder),
+            "policy_health": judged.health.to_dict(),
+            "findings": [f.to_dict() for f in diagnose(
+                judged.health, memory=judged.memory.summary())],
+            "memory": judged.memory.to_dict(),
+            "kernels": _kernel_rows(judged.recorder),
         }
-        recorders[policy] = recorder
+        recorders[request.policy] = (cell, judged.recorder)
     pair = _pick_diff_pair(list(recorders))
     if pair is not None:
         a, b = pair
-        diff = diff_runs(recorders[a], recorders[b], label_a=a, label_b=b)
+        (cell_a, rec_a), (cell_b, rec_b) = recorders[a], recorders[b]
+        diff = diff_runs(rec_a, rec_b, label_a=a, label_b=b)
         doc["diff"] = diff.to_dict()
-        doc["diff_pair"] = [f"{scenario.model}@{paper_batch}/{a}",
-                            f"{scenario.model}@{paper_batch}/{b}"]
+        doc["diff_pair"] = [cell_a, cell_b]
     return doc
 
 

@@ -270,9 +270,31 @@ def test_registry_has_smoke_and_fig09():
     assert "smoke" in SCENARIOS
     assert any(name.startswith("fig09-") for name in SCENARIOS)
     smoke = SCENARIOS["smoke"]
-    assert smoke.cells == tuple(
+    assert list(smoke.requests()) == [
         f"{smoke.model}@{smoke.paper_batch}/{p}" for p in smoke.policies
-    )
+    ]
+
+
+def test_scenario_requests_apply_overrides_and_gate_the_config():
+    from repro.bench.manifest import get_scenario
+
+    scenario = get_scenario("fig09-bert-large")
+    assert get_scenario(scenario) is scenario
+    with pytest.raises(KeyError, match="unknown scenario 'nope'; known:"):
+        get_scenario("nope")
+    cells = scenario.requests(batch=8, scale=0.5, seed=7,
+                              warmup_iterations=1, measure_iterations=2)
+    assert list(cells) == [f"bert-large@8/{p}" for p in scenario.policies]
+    for request in cells.values():
+        assert (request.batch, request.scale, request.seed) == (8, 0.5, 7)
+        assert (request.warmup_iterations,
+                request.measure_iterations) == (1, 2)
+    # Only the UM prefetch family takes a DeepUMConfig (lms does not).
+    assert cells["bert-large@8/deepum"].deepum_config.prefetch_degree \
+        == scenario.prefetch_degree
+    assert cells["bert-large@8/lms"].deepum_config is None
+    pinned = scenario.requests()["bert-large@16/um"]
+    assert (pinned.scale, pinned.seed) == (None, scenario.seed)
 
 
 def test_run_scenario_emits_valid_result():
@@ -375,6 +397,50 @@ def test_cli_runs_resume_rebuilds_bench_result(tmp_path, monkeypatch, capsys):
     assert set(doc["cells"]) == set(serial["cells"])
     for name in serial["cells"]:
         assert doc["cells"][name]["sim"] == serial["cells"][name]["sim"]
+
+
+def test_runs_resume_refuses_a_pre_request_bench_journal(tmp_path,
+                                                          monkeypatch):
+    """A bench journal whose cells predate canonical-request payloads
+    (``paper_batch``, no ``system``) would resume as a different cell: the
+    midpoint batch on a default-calibrated machine. Refuse it outright."""
+    from repro.exec import Executor, JournalError, validate_state
+
+    def no_execution(*args, **kwargs):
+        raise AssertionError("a stale journal must not execute any cell")
+
+    monkeypatch.setattr(Executor, "run_journal", no_execution)
+    old_payload = {
+        "model": "mobilenet", "paper_batch": 3072, "policy": "um",
+        "warmup_iterations": 4, "measure_iterations": 3, "seed": 0,
+        "prefetch_degree": 32, "repeats": 1, "warmup_runs": 0,
+        "collect_health": False,
+    }
+    state = {
+        "journal_schema_version": 1, "run_id": "stale",
+        "kind": "bench", "created_at": "2026-01-01T00:00:00",
+        "meta": {"scenario": "smoke", "repeats": 1, "warmup_runs": 0,
+                 "collect_health": False, "out": str(tmp_path / "B.json")},
+        "executor": {"workers": 2},
+        "tasks": {"mobilenet@3072/um": {
+            "kind": "bench-cell", "payload": old_payload,
+            "status": "pending", "attempts": 0, "error": "",
+            "result_file": None}},
+    }
+    (tmp_path / "stale").mkdir()
+    (tmp_path / "stale" / "state.json").write_text(json.dumps(state))
+    with pytest.raises(SystemExit, match="mobilenet@3072/um.*system"):
+        main(["runs", "resume", "stale", "--runs-dir", str(tmp_path)])
+    assert not (tmp_path / "B.json").exists()
+    # A pre-request tournament cell pinned its batch but not its machine.
+    tournament = dict(state, kind="tournament")
+    tournament["tasks"] = {"c": dict(state["tasks"]["mobilenet@3072/um"],
+                                     kind="tournament-cell", payload={
+        "model": "mobilenet", "batch": 3072, "policy": "um",
+        "pressure": 2.2, "warmup_iterations": 1, "measure_iterations": 1,
+        "seed": 0, "prefetch_degree": 32})}
+    with pytest.raises(JournalError, match="'c'.*no scale/system"):
+        validate_state(tournament)
 
 
 def test_cli_bench_list(capsys):

@@ -16,6 +16,7 @@ from repro.exec import (
     CACHEABLE_STATUSES,
     KIND_BENCH_CELL,
     KIND_EXPERIMENT,
+    KIND_SERVE,
     CacheKey,
     Executor,
     ExecutorConfig,
@@ -24,7 +25,6 @@ from repro.exec import (
     cache_key,
     experiment_task,
 )
-from repro.exec import bench_cell_task as make_bench_cell_task
 from repro.exec.cache import (
     VOLATILE_RESULT_KEYS,
     deterministic_view,
@@ -48,6 +48,35 @@ def _shuffle_dict(doc, rng):
 # --------------------------------------------------------------------- #
 # key derivation
 # --------------------------------------------------------------------- #
+
+def test_experiment_and_serve_cache_keys_are_pinned():
+    """Exact digests, not just equalities: an experiment or serve cell's
+    key payload must not move when task plumbing changes (recorded before
+    every executor task carried a canonical request)."""
+    from repro.config import DeepUMConfig, GPUSpec, HostSpec, SystemConfig
+    from repro.constants import GiB, MiB
+    from repro.serve import ServeSpec
+
+    system = SystemConfig(gpu=GPUSpec(memory_bytes=256 * MiB),
+                          host=HostSpec(memory_bytes=8 * GiB))
+    experiment = RunRequest(
+        "mobilenet", policy="deepum", batch=64, scale=0.5,
+        warmup_iterations=2, measure_iterations=1, seed=3,
+        deepum_config=DeepUMConfig(prefetch_degree=8), system=system)
+    serve = RunRequest(
+        "dlrm", policy="deepum", batch=160000, scale=0.25,
+        warmup_iterations=2, seed=1, system=system, kind="serve",
+        serve=ServeSpec(scenario="dlrm", requests=8, rate=50.0, slo_ms=20.0))
+    assert experiment_task(experiment).payload \
+        == experiment.canonical_payload()
+    assert cache_key(KIND_EXPERIMENT, experiment.canonical_payload(),
+                     fingerprint="f").digest == (
+        "5683fea1237afaae11df5cd5c076cf6497b6368ae1dd9d65394d6e5ce85a5433")
+    assert experiment_task(serve).payload == serve.canonical_payload()
+    assert cache_key(KIND_SERVE, serve.canonical_payload(),
+                     fingerprint="f").digest == (
+        "5eb5eccc2b851f4fa7389a51cdf231a81b32460c29f23fe972c81da1c532b1f9")
+
 
 PAYLOAD = RunRequest(
     "mobilenet", policy="deepum", batch=64,
@@ -318,41 +347,9 @@ def test_executor_without_cache_never_touches_store(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# CLI wiring: resume over a fully-cached journal, flags, env
+# CLI wiring: one cache population for serial and parallel, flags, env
+# (resume over a fully-cached journal: test_cli.py::test_runs_resume_equals_live)
 # --------------------------------------------------------------------- #
-
-def test_runs_resume_rebuilds_bench_output_from_pure_cache_hits(
-        tmp_path, capsys):
-    """A journal whose pending cells are all cache hits must still
-    rebuild the bench's natural output file on resume."""
-    from repro.bench import SCENARIOS, load_result
-    from repro.bench.runner import cell_payload, run_scenario
-
-    cache_dir, _ = _warm_bench_cache(tmp_path)
-    smoke = SCENARIOS["smoke"]
-    out_path = str(tmp_path / "BENCH_resumed.json")
-    tasks = [make_bench_cell_task(
-        cell_payload(smoke, policy, repeats=1, warmup_runs=0,
-                     collect_health=False),
-        f"{smoke.model}@{smoke.paper_batch}/{policy}")
-        for policy in smoke.policies]
-    journal = RunJournal.create(
-        tasks, kind="bench",
-        meta={"scenario": "smoke", "repeats": 1, "warmup_runs": 0,
-              "collect_health": False, "out": out_path},
-        executor=ExecutorConfig(workers=2).to_dict(),
-        runs_dir=str(tmp_path / "runs"))
-    capsys.readouterr()
-    assert main(["runs", "resume", journal.run_id,
-                 "--runs-dir", str(tmp_path / "runs"),
-                 "--cache-dir", cache_dir]) == 0
-    out = capsys.readouterr().out
-    assert "hits=2 misses=0" in out and "wrote" in out
-    doc = load_result(out_path)
-    fresh = run_scenario(smoke, repeats=1, warmup_runs=0)
-    assert {name: cell["sim"] for name, cell in doc["cells"].items()} \
-        == {name: cell["sim"] for name, cell in fresh["cells"].items()}
-
 
 def test_bench_serial_and_parallel_share_one_cache_population(tmp_path,
                                                               capsys):

@@ -183,3 +183,81 @@ def test_run_obs_parallel_writes_executor_timeline(tmp_path, capsys):
     doc = json.loads(trace_path.read_text())
     names = {event.get("name") for event in doc["traceEvents"]}
     assert "mobilenet@64/um" in names
+
+
+# Every journaled kind: argv of its live command (an --out artifact, if the
+# kind writes one, goes to OUT) and whether its artifact carries the
+# process-level peak RSS (a volatile field compared via deterministic_view).
+RESUME_KINDS = {
+    "run": (["run", "mobilenet", "--batch", "64", "--policies", "um,deepum",
+             "--warmup", "1", "--measure", "1"], False),
+    "serve": (["serve", "dlrm", "--requests", "4", "--warmup", "1",
+               "--policies", "um,deepum", "--out", "OUT"], False),
+    "sweep-degree": (["sweep-degree", "mobilenet", "--batch", "64",
+                      "--degrees", "1,8", "--warmup", "1", "--measure", "1"],
+                     False),
+    "tournament": (["tournament", "smoke", "--out", "OUT"], False),
+    "bench": (["bench", "run", "--scenario", "smoke", "--repeats", "1",
+               "--warmup-runs", "0", "--out", "OUT"], True),
+}
+
+
+def _rendered(out):
+    """The kind's rendered output: what follows the cache summary (live or
+    re-executed resume) or the "all cells already finished" line."""
+    lines = out.splitlines()
+    marks = [i for i, line in enumerate(lines)
+             if line.startswith("cache: ")
+             or line.endswith("all cells already finished")]
+    assert marks, out
+    return lines[marks[-1] + 1:]
+
+
+@pytest.mark.parametrize("kind", sorted(RESUME_KINDS))
+def test_runs_resume_equals_live(kind, tmp_path, capsys):
+    """``runs resume`` prints the live command's table and rewrites its
+    --out artifact, both for a finished journal and for one whose cells
+    all replay from the result cache."""
+    from repro.exec import RunJournal, deterministic_view, list_runs
+
+    argv, volatile_rss = RESUME_KINDS[kind]
+    out_path = tmp_path / "artifact.json"
+    writes_out = "OUT" in argv
+    argv = [str(out_path) if a == "OUT" else a for a in argv]
+    runs_dir, cache_dir = str(tmp_path / "runs"), str(tmp_path / "cache")
+    assert main(argv + ["--workers", "2", "--runs-dir", runs_dir,
+                        "--cache-dir", cache_dir]) == 0
+    live = _rendered(capsys.readouterr().out)
+    assert live
+    artifact = out_path.read_bytes() if writes_out else None
+
+    def same_artifact():
+        if artifact is None:
+            return True
+        fresh = out_path.read_bytes()
+        out_path.unlink()
+        if volatile_rss:
+            return (deterministic_view(json.loads(fresh))
+                    == deterministic_view(json.loads(artifact)))
+        return fresh == artifact
+
+    (summary,) = list_runs(runs_dir)
+    assert summary["kind"] == kind
+    resume = ["runs", "resume", summary["run_id"], "--runs-dir", runs_dir,
+              "--cache-dir", cache_dir]
+    if artifact is not None:
+        out_path.unlink()
+    assert main(resume) == 0
+    out = capsys.readouterr().out
+    assert "all cells already finished" in out
+    assert _rendered(out) == live
+    assert same_artifact()
+
+    journal = RunJournal.load(summary["run_id"], runs_dir)
+    journal.reset(journal.keys())
+    assert main(resume) == 0
+    out = capsys.readouterr().out
+    cells = len(journal.keys())
+    assert f"hits={cells} misses=0" in out
+    assert _rendered(out) == live
+    assert same_artifact()

@@ -138,6 +138,30 @@ def test_run_doctor_unknown_scenario_raises():
         run_doctor("no-such-scenario")
 
 
+def test_run_doctor_refuses_a_reference_pass_that_drifts(monkeypatch):
+    """The overhead ratio compares the instrumented pass with an
+    uninstrumented reference: if their simulations differ, the ratio (and
+    the diagnosis) compares two different runs, so the doctor refuses."""
+    import repro.api as api
+    from repro.obs import NeutralityError
+
+    real = api.execute
+
+    def drifting_reference(request):
+        result = real(request)
+        if request.recorder is None and result.snapshot is not None:
+            result.snapshot = dict(result.snapshot,
+                                   page_faults=result.snapshot["page_faults"] + 1)
+        return result
+
+    monkeypatch.setattr(api, "execute", drifting_reference)
+    one_cell = Scenario(name="drift", model="mobilenet", paper_batch=3072,
+                        policies=("um",), warmup_iterations=1,
+                        measure_iterations=1)
+    with pytest.raises(NeutralityError, match="mobilenet@3072/um.*page_faults"):
+        run_doctor(one_cell)
+
+
 def test_format_doctor_renders_cells_and_skips(tiny_report):
     text = format_doctor(tiny_report)
     assert "mobilenet@3072/deepum" in text

@@ -378,11 +378,10 @@ def test_serving_rejects_non_um_policies():
 
 
 def test_serve_task_round_trips_through_the_executor():
-    from repro.exec import KIND_SERVE as TASK_KIND_SERVE
-    from repro.exec import execute_task, serve_task
+    from repro.exec import execute_task, experiment_task
 
-    task = serve_task(serve_request())
-    assert task.kind == TASK_KIND_SERVE
+    task = experiment_task(serve_request())
+    assert task.kind == KIND_SERVE
     assert task.key == "serve-dlrm@160000/deepum"
     assert task.payload["kind"] == "serve"
     doc = execute_task(task.kind, task.payload)
@@ -392,11 +391,12 @@ def test_serve_task_round_trips_through_the_executor():
     assert doc["snapshot"] == execute(serve_request()).snapshot
 
 
-def test_serve_task_rejects_experiment_requests():
-    from repro.exec import serve_task
+def test_task_kind_follows_the_request_kind():
+    from repro.exec import experiment_task
 
-    with pytest.raises(ValueError, match="serve"):
-        serve_task(RunRequest(model="mobilenet"))
+    task = experiment_task(RunRequest(model="mobilenet"))
+    assert task.kind == KIND_EXPERIMENT and "kind" not in task.payload
+    assert experiment_task(serve_request()).kind == KIND_SERVE
 
 
 def test_serve_payload_canonicalizes_stably():

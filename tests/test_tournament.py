@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from repro.api import RunRequest
 from repro.cli import main
-from repro.exec import KIND_TOURNAMENT_CELL, execute_task, tournament_cell_task
+from repro.config import DeepUMConfig
+from repro.exec import KIND_TOURNAMENT_CELL, execute_task, experiment_task
+from repro.harness.experiment import calibrate_system, policy_accepts_config
 from repro.harness.tournament import (
     DEFAULT_ENTRANTS,
     TOURNAMENTS,
@@ -13,18 +16,20 @@ from repro.harness.tournament import (
     format_tournament,
     rank_tournament,
     run_tournament_cell,
-    tournament_payloads,
+    tournament_tasks,
 )
 
 
-def tiny_payload(policy, **overrides):
-    payload = {
-        "model": "mobilenet", "batch": 3072, "policy": policy,
-        "pressure": 2.2, "warmup_iterations": 1, "measure_iterations": 1,
-        "seed": 0, "prefetch_degree": 32,
-    }
-    payload.update(overrides)
-    return payload
+def tiny_payload(policy):
+    request = RunRequest(
+        "mobilenet", policy=policy, batch=3072,
+        warmup_iterations=1, measure_iterations=1,
+        deepum_config=(DeepUMConfig(prefetch_degree=32)
+                       if policy_accepts_config(policy) else None),
+        system=calibrate_system("mobilenet", oversubscription=2.2),
+    )
+    return experiment_task(request, kind=KIND_TOURNAMENT_CELL,
+                           pressure=2.2).payload
 
 
 def cell_doc(policy, key, *, status="ok", elapsed=1.0, used=8, issued=10,
@@ -58,26 +63,34 @@ def test_scenarios_are_pinned_and_named():
 
 def test_payload_grid_covers_models_x_pressures_x_policies():
     scenario = TOURNAMENTS["flagship"]
-    payloads = tournament_payloads(scenario)
-    assert len(payloads) == (len(scenario.models) * len(scenario.pressures)
-                             * len(scenario.policies))
-    for key, payload in payloads.items():
-        assert key == cell_key(payload["model"], payload["batch"],
-                               payload["pressure"], payload["policy"])
-        assert payload["warmup_iterations"] == scenario.warmup_iterations
-        assert payload["seed"] == scenario.seed
+    tasks = tournament_tasks(scenario)
+    assert len(tasks) == (len(scenario.models) * len(scenario.pressures)
+                          * len(scenario.policies))
+    for task in tasks:
+        assert task.kind == KIND_TOURNAMENT_CELL
+        request = RunRequest.from_dict(task.payload)
+        pressure = task.payload["pressure"]
+        assert task.key == cell_key(request.model, request.batch, pressure,
+                                    request.policy)
+        assert request.warmup_iterations == scenario.warmup_iterations
+        assert request.seed == scenario.seed
+        # The pressure is only a label: the request pins its machine.
+        assert request.system == calibrate_system(
+            request.model, oversubscription=pressure)
 
 
 def test_payload_policies_override():
-    payloads = tournament_payloads(TOURNAMENTS["smoke"],
-                                   policies=["markov", "um"])
-    assert {p["policy"] for p in payloads.values()} == {"markov", "um"}
+    tasks = tournament_tasks(TOURNAMENTS["smoke"], policies=["markov", "um"])
+    assert {t.payload["policy"] for t in tasks} == {"markov", "um"}
 
 
 def test_tournament_cell_task_kind():
-    task = tournament_cell_task(tiny_payload("deepum"), "k")
+    task = experiment_task(RunRequest.from_dict(tiny_payload("deepum")), "k",
+                           kind=KIND_TOURNAMENT_CELL, pressure=2.2)
     assert task.kind == KIND_TOURNAMENT_CELL
+    assert task.key == "k"
     assert task.payload["policy"] == "deepum"
+    assert task.payload["pressure"] == 2.2
 
 
 # ----------------------------------------------------------- judged cells
