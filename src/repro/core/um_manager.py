@@ -69,22 +69,18 @@ class UMMemoryManager:
             KernelExecution(payload=launch, accesses=accesses, compute_time=compute)
         )
 
-    def replay_kernel(self, payload, accesses: list[BlockAccess],
-                      compute: float) -> None:
+    def replay_kernel(self, kernel: KernelExecution) -> None:
         """Re-issue a recorded launch: the tail of :meth:`run_kernel`.
 
-        ``payload`` is a shim carrying the signature fields; ``accesses``
-        is the cached plan captured at record time (steady-state blocks are
-        fully populated, so skipping ``_build_accesses`` has no side
-        effects a live cache hit would not also skip).
+        ``kernel`` is prebuilt once at record time: its payload is a shim
+        carrying the signature fields and its accesses are the cached plan
+        (steady-state blocks are fully populated, so skipping
+        ``_build_accesses`` has no side effects a live cache hit would not
+        also skip). The engine only reads it, so it is reused every replay.
         """
-        now = self.engine.now
         if self.runtime is not None:
-            self.runtime.before_launch(payload, now)
-        self.engine.execute_kernel(
-            KernelExecution(payload=payload, accesses=accesses,
-                            compute_time=compute)
-        )
+            self.runtime.before_launch(kernel.payload, self.engine.now)
+        self.engine.execute_kernel(kernel)
 
     def elapsed(self) -> float:
         self.engine.finish()

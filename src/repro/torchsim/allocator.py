@@ -10,13 +10,18 @@ active/inactive state per PT block.
 The *inactive listener* hook is this reproduction's version of the paper's
 "fewer than ten lines" PyTorch patch: DeepUM subscribes to learn when a PT
 block becomes inactive so the driver can invalidate its UM blocks.
+
+Two hooks serve steady-state replay (:mod:`repro.core.replay`): a
+``mutations`` counter bumped by every public state change, and
+:meth:`CachingAllocator.structure`, a value snapshot of everything the
+allocator's future behaviour depends on.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..constants import (
     PT_ALLOC_ROUND,
@@ -90,6 +95,21 @@ class PTBlock:
         return f"PTBlock(addr={self.addr:#x}, size={self.size}, {state})"
 
 
+class BlockView(NamedTuple):
+    """An immutable (addr, size) view of a PT block.
+
+    State listeners read only a block's range, so a recorded notification
+    can be re-delivered as a view without the live :class:`PTBlock`.
+    """
+
+    addr: int
+    size: int
+
+    @property
+    def end(self) -> int:
+        return self.addr + self.size
+
+
 @dataclass(slots=True)
 class Pool:
     """A free list of inactive PT blocks, kept sorted by (size, addr)."""
@@ -147,7 +167,12 @@ class CachingAllocator:
         self.large_pool = Pool("large")
         self.segments: dict[int, Segment] = {}
         self.stats = AllocatorStats()
-        # DeepUM's PyTorch patch: (block, active) notifications.
+        #: Bumped by every ``allocate``, ``free`` and ``empty_cache``: an
+        #: O(1) "touched since?" check for callers that cache a snapshot.
+        self.mutations = 0
+        # DeepUM's PyTorch patch: (block, active) notifications. Listeners
+        # may read only the block's ``addr``, ``size`` and ``end``: replay
+        # re-delivers recorded notifications as ``BlockView`` values.
         self.state_listeners: list[Callable[[PTBlock, bool], None]] = []
 
     # ------------------------------------------------------------------ #
@@ -158,6 +183,7 @@ class CachingAllocator:
         """Return an active PT block of at least ``nbytes``."""
         if nbytes <= 0:
             raise ValueError(f"allocation size must be positive, got {nbytes}")
+        self.mutations += 1
         size = align_up(nbytes, PT_ALLOC_ROUND)
         pool = self._pool_for(size)
         block = pool.best_fit(size)
@@ -178,6 +204,7 @@ class CachingAllocator:
         """Return ``block`` to its pool, marking it inactive and coalescing."""
         if not block.active:
             raise ValueError(f"double free of {block!r}")
+        self.mutations += 1
         block.active = False
         block.requested = 0
         self.stats.free_count += 1
@@ -188,6 +215,7 @@ class CachingAllocator:
 
     def empty_cache(self) -> int:
         """Release fully-free segments back to the backend; returns bytes."""
+        self.mutations += 1
         released = 0
         for addr in list(self.segments):
             seg = self.segments[addr]
@@ -211,6 +239,31 @@ class CachingAllocator:
 
     def iter_segments(self):
         return iter(self.segments.values())
+
+    def structure(self) -> tuple:
+        """A value snapshot of the state that decides future behaviour.
+
+        Every segment with its blocks' (addr, size, active, requested) in
+        address order, the keys of both pools, the byte counters with
+        their peaks, and the flush count. When a call sequence leaves the
+        structure unchanged, repeating it repeats every result: the
+        allocator reads no other state of its own, and equal segments with
+        an unchanged flush count mean the sequence reserved and released
+        no segment, so the backend was not consulted either.
+        """
+        stats = self.stats
+        return (
+            tuple(
+                (addr, seg.size, seg.pool.name,
+                 tuple((b.addr, b.size, b.active, b.requested)
+                       for b in seg.blocks))
+                for addr, seg in sorted(self.segments.items())
+            ),
+            tuple(self.small_pool._keys),
+            tuple(self.large_pool._keys),
+            stats.allocated_bytes, stats.reserved_bytes,
+            stats.peak_allocated, stats.peak_reserved, stats.cache_flushes,
+        )
 
     # ------------------------------------------------------------------ #
     # internals

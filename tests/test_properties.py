@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -285,6 +287,71 @@ def test_allocator_matches_list_based_oracle(ops, capacity):
             assert alloc.empty_cache() == ref.empty_cache()
         assert alloc.stats == ref.stats
         _check_linked_segments(alloc, ref)
+
+
+@st.composite
+def alloc_periods(draw):
+    """A warm-up program, then one period of a periodic alloc/free stream.
+
+    Like a training iteration, the period allocates, frees some of its own
+    blocks, and frees the previous period's survivors. Returns the warm-up
+    sizes, the period's sizes, and its ops ``("alloc" | "free_cur" |
+    "free_prev", allocation index)`` in order.
+    """
+    warmup = draw(st.lists(st.integers(1, 4 << 20), max_size=6))
+    sizes = draw(st.lists(st.integers(1, 64 << 10) | st.integers(1, 4 << 20),
+                          min_size=1, max_size=12))
+    events = []
+    for i in range(len(sizes)):
+        at = draw(st.integers(0, 30))
+        events.append((at, 0, "alloc", i))
+        if draw(st.booleans()):
+            events.append((at + draw(st.integers(0, 30)), 1, "free_cur", i))
+        else:
+            events.append((draw(st.integers(0, 60)), 1, "free_prev", i))
+    return warmup, sizes, [(op, i) for _, _, op, i in sorted(events)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(alloc_periods())
+def test_allocator_fixed_point_repeats_exactly(program):
+    """The lemma behind compiled replay: a period that leaves the allocator
+    structure unchanged repeats exactly — same addresses, notifications
+    and stats deltas, with the peaks moving by zero."""
+    warmup, sizes, period = program
+    alloc = CachingAllocator(UMBackend(um=UnifiedMemorySpace(),
+                                       host_capacity=1 << 50))
+    notes: list = []
+    alloc.state_listeners.append(
+        lambda blk, active: notes.append((blk.addr, blk.size, active)))
+    for nbytes in warmup:
+        alloc.allocate(nbytes)
+
+    def run_period(prev):
+        cur, addrs = {}, []
+        stats = asdict(alloc.stats)
+        notes.clear()
+        for op, i in period:
+            if op == "alloc":
+                cur[i] = alloc.allocate(sizes[i])
+                addrs.append(cur[i].addr)
+            elif op == "free_cur":
+                alloc.free(cur.pop(i))
+            elif prev is not None:  # the first period has no predecessor
+                alloc.free(prev[i])
+        delta = {k: v - stats[k] for k, v in asdict(alloc.stats).items()}
+        return cur, (addrs, list(notes), delta)
+
+    prev, _ = run_period(None)
+    for _ in range(3):
+        before = alloc.structure()
+        prev, trace = run_period(prev)
+        if alloc.structure() != before:
+            continue
+        assert trace[2]["peak_allocated"] == trace[2]["peak_reserved"] == 0
+        prev, again = run_period(prev)
+        assert again == trace
+        assert alloc.structure() == before
 
 
 # --------------------------------------------------------------------- #
