@@ -10,10 +10,10 @@ repeats aborts the bench rather than silently reporting an unstable cell.
 
 One scenario cell is a ``bench-cell`` executor task: the cell's canonical
 :class:`~repro.api.RunRequest` payload plus the run-mode keys
-``repeats``/``warmup_runs``/``collect_health``. Serial and parallel runs
-build the same tasks (so they share cache keys), ``run_scenario(...,
-workers=N)`` fans them out across the process-pool executor with a
-resumable journal, and :func:`bench_document` assembles the result
+``repeats``/``warmup_runs``/``collect_health``. :func:`run_scenario` runs
+them through the process-pool executor at every pool size (so every run
+shares one cache population), journaled for ``repro runs resume`` when
+given a ``runs_dir``, and :func:`bench_document` assembles the result
 document for a live run and a resumed one alike.
 """
 
@@ -199,29 +199,6 @@ def run_scenario_cell(payload: dict[str, Any]) -> dict[str, Any]:
     return cell
 
 
-def _cells_serial(tasks: list[Task], *, repeats: int, progress, cache=None) -> dict[str, dict]:
-    results: dict[str, dict] = {}
-    for task in tasks:
-        # Same key and entry shape as a worker-executed bench cell, so
-        # serial and parallel runs share one cache population.
-        key = cache.key(task.kind, task.payload) if cache is not None else None
-        doc: Optional[dict] = cache.get(key) if key is not None else None
-        cached = " (cached)" if doc is not None else ""
-        if doc is None:
-            doc = {"status": "ok", "cell": run_scenario_cell(task.payload)}
-            if key is not None:
-                cache.put(key, doc)
-        results[task.key] = doc
-        if progress is not None:
-            cell = doc["cell"]
-            progress(
-                f"{task.key}: {cell['wall_seconds']:.3f}s wall "
-                f"({repeats} repeats), "
-                f"sim {cell['sim']['elapsed']:.4f}s{cached}"
-            )
-    return results
-
-
 def bench_document(
     scenario: Scenario,
     results: dict[str, dict],
@@ -275,17 +252,18 @@ def run_scenario(
     metrics exactly — a recorder that perturbs simulation is a bug the
     bench refuses to measure around.
 
-    With ``workers > 1`` the cells run in parallel worker processes
-    through the executor, journaled under ``runs_dir`` so a killed bench
-    can be resumed (``repro runs resume``); the simulated metrics are
-    bit-identical to a serial run of the same scenario.
+    The cells run in ``workers`` worker processes through the executor.
+    With ``runs_dir`` the run is journaled there, so a killed bench can be
+    resumed (``repro runs resume``); without one nothing is written. The
+    simulated metrics are bit-identical at every worker count.
 
     With ``cache`` (a :class:`repro.exec.ResultCache`) cells whose
     content-addressed key is already stored are replayed instead of
-    re-simulated — serial and parallel runs share the same keys, and a
-    replayed cell is bit-for-bit identical to a fresh one (the recorded
-    wall times are the original measurement's).
+    re-simulated — a replayed cell is bit-for-bit identical to a fresh one
+    (the recorded wall times are the original measurement's).
     """
+    from ..exec import Executor, ExecutorConfig, RunJournal
+
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     tasks = scenario_tasks(
@@ -294,36 +272,34 @@ def run_scenario(
         warmup_runs=warmup_runs,
         collect_health=collect_health,
     )
-    if workers <= 1:
-        results = _cells_serial(tasks, repeats=repeats, progress=progress, cache=cache)
-        return bench_document(scenario, results, repeats=repeats, warmup_runs=warmup_runs)
-
-    from ..exec import DEFAULT_RUNS_DIR, Executor, ExecutorConfig, RunJournal
-
     config = ExecutorConfig(
         workers=workers,
         cell_timeout=cell_timeout,
         retries=retries,
         heartbeat_interval=heartbeat_interval,
     )
-    journal = RunJournal.create(
-        tasks,
-        kind="bench",
-        meta={
-            "scenario": scenario.name,
-            "repeats": repeats,
-            "warmup_runs": warmup_runs,
-            "collect_health": collect_health,
-            "out": out,
-        },
-        executor=config.to_dict(),
-        runs_dir=runs_dir if runs_dir is not None else DEFAULT_RUNS_DIR,
-        run_id=run_id,
-    )
-    if progress is not None:
-        progress(
-            f"bench run {journal.run_id}: {len(tasks)} cells across "
-            f"{workers} workers (journal: {journal.root})"
+    executor = Executor(config, progress=progress, cache=cache)
+    if runs_dir is None:
+        results = executor.run_tasks(tasks)
+    else:
+        journal = RunJournal.create(
+            tasks,
+            kind="bench",
+            meta={
+                "scenario": scenario.name,
+                "repeats": repeats,
+                "warmup_runs": warmup_runs,
+                "collect_health": collect_health,
+                "out": out,
+            },
+            executor=config.to_dict(),
+            runs_dir=runs_dir,
+            run_id=run_id,
         )
-    results = Executor(config, progress=progress, cache=cache).run_journal(journal)
+        if progress is not None:
+            progress(
+                f"bench run {journal.run_id}: {len(tasks)} cells across "
+                f"{workers} workers (journal: {journal.root})"
+            )
+        results = executor.run_journal(journal)
     return bench_document(scenario, results, repeats=repeats, warmup_runs=warmup_runs)

@@ -17,17 +17,19 @@ Examples::
     python -m repro cache verify --sample 2
     python -m repro trace timeline bert-large --out timeline.json
 
-Every experiment-running subcommand builds :class:`repro.api.RunRequest`
-objects and executes them through :func:`repro.api.execute` — in-process
-when ``--workers 1`` (the default), or through the fault-tolerant
-process-pool executor (:mod:`repro.exec`) with a resumable journal under
-``--runs-dir`` otherwise. Simulated metrics are identical either way.
+Every cell-running subcommand (run, serve, sweep-degree, max-batch, bench
+run, tournament) builds :class:`repro.api.RunRequest` cells as executor
+tasks and runs them through the fault-tolerant process-pool executor
+(:mod:`repro.exec`); ``--workers`` only sizes the pool. All but max-batch
+journal the run under ``--runs-dir`` for ``repro runs resume``. Simulated
+metrics are identical at every pool size. (The ``trace`` subcommands,
+doctor, profile and report run their recorded cells in-process.)
 
-Bench runs, journaled sweeps, tournaments and max-batch probes also
-consult the content-addressed result cache (:mod:`repro.exec.cache`,
-default ``.repro-cache/``): cells whose inputs have not changed replay
-their stored results bit-for-bit instead of re-simulating. ``--no-cache``
-opts out; ``repro cache stats|gc|verify`` manages and audits the store.
+The executor consults the content-addressed result cache
+(:mod:`repro.exec.cache`, default ``.repro-cache/``): cells whose inputs
+have not changed replay their stored results bit-for-bit instead of
+re-simulating; ``--obs`` cells always run. ``--no-cache`` opts out;
+``repro cache stats|gc|verify`` manages and audits the store.
 """
 
 from __future__ import annotations
@@ -71,12 +73,20 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _obs_path(base: str, policy: str, multi: bool) -> str:
-    """Per-policy trace filename when several policies share one --obs."""
-    if not multi:
-        return base
-    stem, ext = os.path.splitext(base)
-    return f"{stem}-{policy}{ext or '.json'}"
+def _obs_mode(args: argparse.Namespace, policy: str, policies: list[str],
+              top: Optional[int] = None) -> dict[str, Any]:
+    """The run-mode keys that make a worker record ``policy``'s cell.
+
+    The trace goes to ``--obs PATH``, or to ``PATH-<policy>`` when several
+    policies share it; ``top`` also asks for the phase-breakdown table.
+    """
+    if not args.obs:
+        return {}
+    path = args.obs
+    if len(policies) > 1:
+        stem, ext = os.path.splitext(path)
+        path = f"{stem}-{policy}{ext or '.json'}"
+    return {"obs": path} if top is None else {"obs": path, "top": top}
 
 
 def _require_writable_dir(path: str, flag: str) -> None:
@@ -135,17 +145,9 @@ def _print_cache_summary(cache) -> None:
 
 def _run_journaled(tasks, *, kind: str, meta: dict[str, Any],
                    args: argparse.Namespace) -> dict[str, dict[str, Any]]:
-    """Create a journal for ``tasks`` and run it through the executor.
-
-    Per-policy sim timelines need in-process recorders; across workers,
-    ``--obs`` (where the command has it) records the *executor* timeline
-    instead (cell spans/instants on the wall-clock "exec" track).
-    """
+    """Create a journal for ``tasks`` and run it through the executor."""
     from .exec import Executor, RunJournal
-    from .obs import SpanRecorder, write_chrome_trace
 
-    obs = getattr(args, "obs", None)
-    recorder = SpanRecorder() if obs else None
     config = _executor_config(args)
     cache = _cache_from_args(args)
     journal = RunJournal.create(tasks, kind=kind, meta=meta,
@@ -153,13 +155,9 @@ def _run_journaled(tasks, *, kind: str, meta: dict[str, Any],
                                 runs_dir=args.runs_dir, run_id=args.run_id)
     print(f"{kind} {journal.run_id}: {len(tasks)} cells across "
           f"{config.workers} workers (journal: {journal.root})")
-    executor = Executor(config, progress=print, recorder=recorder,
-                        cache=cache)
-    results = executor.run_journal(journal)
+    results = Executor(config, progress=print,
+                       cache=cache).run_journal(journal)
     _print_cache_summary(cache)
-    if recorder is not None:
-        write_chrome_trace(recorder, obs)
-        print(f"executor timeline: {obs}")
     return results
 
 
@@ -169,33 +167,32 @@ def _run_journaled(tasks, *, kind: str, meta: dict[str, Any],
 
 
 def _in_policy_order(results: dict[str, dict[str, Any]],
-                     meta: dict[str, Any]) -> list[RunResult]:
-    """Parsed results in the command line's policy order (a reloaded
-    journal alphabetizes its cells)."""
+                     meta: dict[str, Any]
+                     ) -> list[tuple[RunResult, dict[str, Any]]]:
+    """Parsed results, each with its ``obs`` section (empty unless the cell
+    ran recorded), in the command line's policy order (a reloaded journal
+    alphabetizes its cells)."""
     order = list(meta.get("policies") or [])
-    parsed = [RunResult.from_dict(doc) for doc in results.values()]
-    parsed.sort(key=lambda r: order.index(r.request.policy)
-                if r.request.policy in order else len(order))
+    parsed = [(RunResult.from_dict(doc), doc.get("obs") or {})
+              for doc in results.values()]
+    parsed.sort(key=lambda pair: order.index(pair[0].request.policy)
+                if pair[0].request.policy in order else len(order))
     return parsed
 
 
 def _render_run_results(results: dict[str, dict[str, Any]],
-                        meta: dict[str, Any],
-                        notes: Optional[dict[str, str]] = None) -> int:
-    """The ``repro run`` policy table, from result documents.
-
-    ``notes`` (serial runs only) maps a cell key to the note column of its
-    finished row.
-    """
+                        meta: dict[str, Any]) -> int:
+    """The ``repro run`` policy table, then each recorded cell's phase
+    breakdown, from result documents."""
     rows = []
     bad = 0
     parsed = _in_policy_order(results, meta)
     # UM may be listed anywhere on the command line, so find the UM
     # reference time up front rather than relying on "um runs first".
     um_sec = next(
-        (r.seconds_per_100_iterations for r in parsed
+        (r.seconds_per_100_iterations for r, _ in parsed
          if r.request.policy == "um" and r.ok), None)
-    for res in parsed:
+    for res, obs in parsed:
         policy = res.request.policy
         if res.status == "oom":
             rows.append([policy, None, None, None,
@@ -209,11 +206,14 @@ def _render_run_results(results: dict[str, dict[str, Any]],
         sec = res.seconds_per_100_iterations
         rows.append([policy, sec,
                      (um_sec / sec) if um_sec and sec else None,
-                     res.faults_per_iteration,
-                     notes.get(res.request.cell_key, "") if notes else ""])
+                     res.faults_per_iteration, obs.get("note", "")])
     print(format_table(
         ["policy", "s/100 iters", "speedup vs UM", "faults/iter", "note"],
         rows))
+    for _, obs in parsed:
+        if "breakdown" in obs:
+            print()
+            print(obs["breakdown"])
     return 1 if bad else 0
 
 
@@ -263,6 +263,8 @@ def _render_status_rows(journal) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .exec import experiment_task
+
     cfg = get_model_config(args.model)
     batch = args.batch if args.batch is not None else \
         cfg.fig9_batches[len(cfg.fig9_batches) // 2]
@@ -278,56 +280,21 @@ def cmd_run(args: argparse.Namespace) -> int:
         _require_writable_dir(args.obs, "--obs")
     meta = {"model": args.model, "batch": batch, "scale": scale,
             "policies": list(policies)}
-
-    def request(policy: str, recorder=None) -> RunRequest:
-        return RunRequest(
-            model=args.model, policy=policy, batch=batch, scale=scale,
-            warmup_iterations=args.warmup, measure_iterations=args.measure,
-            seed=seed,
-            deepum_config=deepum_cfg if policy_accepts_config(policy)
-            else None,
-            system=system, recorder=recorder,
-        )
-
-    if args.workers > 1:
-        from .exec import experiment_task
-
-        tasks = [experiment_task(request(policy)) for policy in policies]
-        return _render_run_results(
-            _run_journaled(tasks, kind="run", args=args, meta=meta), meta)
-
-    results: dict[str, dict[str, Any]] = {}
-    notes: dict[str, str] = {}
-    breakdowns = []
-    for policy in policies:
-        recorder = None
-        if args.obs:
-            from .obs import SpanRecorder
-
-            recorder = SpanRecorder()
-        try:
-            result = execute(request(policy, recorder=recorder))
-        except TypeError:
-            # Tensor-swap facades have no UM engine to instrument; run
-            # the policy without a timeline rather than failing.
-            recorder = None
-            result = execute(request(policy))
-            notes[result.request.cell_key] = "no obs (tensor-swap)"
-        if recorder is not None:
-            from .obs import write_chrome_trace
-
-            path = _obs_path(args.obs, policy, len(policies) > 1)
-            write_chrome_trace(recorder, path)
-            notes[result.request.cell_key] = f"trace: {path}"
-            breakdowns.append((policy, recorder))
-        results[result.request.cell_key] = result.to_dict()
-    exit_code = _render_run_results(results, meta, notes)
-    for policy, recorder in breakdowns:
-        print()
-        print(phase_breakdown_table(
-            recorder, args.top,
-            title=f"{policy}: per-kernel phase breakdown (worst stalls first)"))
-    return exit_code
+    tasks = [
+        experiment_task(
+            RunRequest(
+                model=args.model, policy=policy, batch=batch, scale=scale,
+                warmup_iterations=args.warmup,
+                measure_iterations=args.measure, seed=seed,
+                deepum_config=deepum_cfg if policy_accepts_config(policy)
+                else None,
+                system=system,
+            ),
+            **_obs_mode(args, policy, policies, top=args.top))
+        for policy in policies
+    ]
+    return _render_run_results(
+        _run_journaled(tasks, kind="run", args=args, meta=meta), meta)
 
 
 def _render_serve_results(results: dict[str, dict[str, Any]],
@@ -337,7 +304,11 @@ def _render_serve_results(results: dict[str, dict[str, Any]],
     rows = []
     bad = 0
     artifact: dict[str, Any] = {}
-    for res in _in_policy_order(results, meta):
+    parsed = _in_policy_order(results, meta)
+    for _, obs in parsed:
+        if obs:
+            print(obs["note"])
+    for res, _ in parsed:
         policy = res.request.policy
         if res.status == "oom":
             rows.append([policy, None, None, None, None, None,
@@ -369,8 +340,10 @@ def _render_serve_results(results: dict[str, dict[str, Any]],
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from .exec import experiment_task
     from .serve import ServeSpec
     from .serve.scenarios import get_scenario
+    from .serve.session import serve_facade
 
     try:
         scenario = get_scenario(args.scenario)
@@ -392,11 +365,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.out:
         _require_writable_dir(args.out, "--out")
 
-    def request(policy: str, recorder=None) -> RunRequest:
+    def request(policy: str) -> RunRequest:
         return RunRequest(
             model=scenario.model, policy=policy, batch=batch, scale=scale,
             warmup_iterations=args.warmup, measure_iterations=args.measure,
-            seed=seed, kind="serve", serve=spec, recorder=recorder,
+            seed=seed, kind="serve", serve=spec,
         )
 
     meta = {"scenario": args.scenario, "batch": batch, "scale": scale,
@@ -404,38 +377,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "out": args.out}
     system = request(policies[0]).resolved().system
     assert system is not None
+    for policy in policies:
+        try:
+            serve_facade(policy, system)
+        except TypeError as exc:
+            raise SystemExit(f"serve: {exc}")
     print(f"serve {args.scenario}: {scenario.model} @ paper batch {batch}, "
           f"{spec.requests} {spec.arrivals} requests "
           f"(simulated GPU {system.gpu.memory_bytes // MiB} MB, "
           f"{scenario.oversubscription:g}x oversubscribed)")
-
-    if args.workers > 1:
-        from .exec import experiment_task
-
-        tasks = [experiment_task(request(policy)) for policy in policies]
-        return _render_serve_results(
-            _run_journaled(tasks, kind="serve", args=args, meta=meta), meta)
-
-    results = {}
-    for policy in policies:
-        recorder = None
-        if args.obs:
-            from .obs import SpanRecorder
-
-            recorder = SpanRecorder()
-        try:
-            res = execute(request(policy, recorder=recorder))
-        except TypeError as exc:
-            # Non-UM family (tensor swap has no UM engine to serve on).
-            raise SystemExit(f"serve: {exc}")
-        if recorder is not None:
-            from .obs import write_chrome_trace
-
-            path = _obs_path(args.obs, policy, len(policies) > 1)
-            write_chrome_trace(recorder, path)
-            print(f"trace: {path}")
-        results[res.request.cell_key] = res.to_dict()
-    return _render_serve_results(results, meta)
+    tasks = [experiment_task(request(policy),
+                             **_obs_mode(args, policy, policies))
+             for policy in policies]
+    return _render_serve_results(
+        _run_journaled(tasks, kind="serve", args=args, meta=meta), meta)
 
 
 def _recorded_run(args: argparse.Namespace, policy: str):
@@ -490,19 +445,22 @@ def cmd_trace_timeline(args: argparse.Namespace) -> int:
 
 
 def cmd_max_batch(args: argparse.Namespace) -> int:
+    from .exec import Executor
+
     cfg = get_model_config(args.model)
     scale = args.scale if args.scale is not None else cfg.sim_scale
     system = calibrate_system(args.model, scale=scale)
     start = args.batch if args.batch is not None else cfg.fig9_batches[0]
     iterations = args.warmup if args.warmup is not None else 2
     cache = _cache_from_args(args)
+    executor = Executor(_executor_config(args), cache=cache)
     rows = []
     for policy in _parse_policies(args.policies):
         outcome = max_batch_outcome(
             args.model, policy, system, scale=scale, start_batch=start,
             iterations=iterations,
             seed=args.seed if args.seed is not None else 0,
-            probe_workers=args.workers, cache=cache,
+            executor=executor,
         )
         if outcome.fits:
             rows.append([policy, outcome.max_batch, len(outcome.probes), ""])
@@ -520,6 +478,8 @@ def cmd_max_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_degree(args: argparse.Namespace) -> int:
+    from .exec import experiment_task
+
     cfg = get_model_config(args.model)
     batch = args.batch if args.batch is not None else cfg.fig9_batches[0]
     scale = args.scale if args.scale is not None else cfg.sim_scale
@@ -528,30 +488,20 @@ def cmd_sweep_degree(args: argparse.Namespace) -> int:
     degrees = [int(d) for d in args.degrees.split(",")]
     meta = {"model": args.model, "batch": batch, "scale": scale,
             "degrees": degrees}
-
-    def request(degree: int) -> RunRequest:
-        return RunRequest(
-            model=args.model, policy="deepum", batch=batch, scale=scale,
-            warmup_iterations=args.warmup, measure_iterations=args.measure,
-            seed=seed, deepum_config=DeepUMConfig(prefetch_degree=degree),
-            system=system,
-        )
-
-    if args.workers > 1:
-        from .exec import experiment_task
-
-        tasks = [
-            experiment_task(request(degree),
-                            key=f"{args.model}@{batch}/deepum/N{degree}")
-            for degree in degrees
-        ]
-        results = _run_journaled(tasks, kind="sweep-degree", args=args,
-                                 meta=meta)
-        return _render_sweep_results(results, meta)
-
-    results = {}
-    for degree in degrees:
-        results[f"N{degree}"] = execute(request(degree)).to_dict()
+    tasks = [
+        experiment_task(
+            RunRequest(
+                model=args.model, policy="deepum", batch=batch, scale=scale,
+                warmup_iterations=args.warmup,
+                measure_iterations=args.measure, seed=seed,
+                deepum_config=DeepUMConfig(prefetch_degree=degree),
+                system=system,
+            ),
+            key=f"{args.model}@{batch}/deepum/N{degree}")
+        for degree in degrees
+    ]
+    results = _run_journaled(tasks, kind="sweep-degree", args=args,
+                             meta=meta)
     return _render_sweep_results(results, meta)
 
 
@@ -593,10 +543,8 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
                            runs_dir=args.runs_dir,
                            run_id=args.run_id, out=out, cache=cache)
     except BenchRunError as exc:
-        hint = ("" if args.workers <= 1 else
-                " (the journal is kept; see `repro runs list` / "
-                "`repro runs resume`)")
-        raise SystemExit(f"bench run: {exc}{hint}")
+        raise SystemExit(f"bench run: {exc} (the journal is kept; see "
+                         "`repro runs list` / `repro runs resume`)")
     _print_cache_summary(cache)
     return _write_bench(doc, out)
 
@@ -1148,21 +1096,21 @@ def _obs_parent() -> argparse.ArgumentParser:
     """--obs / --top, shared by the timeline-recording commands."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--obs", default=None, metavar="PATH",
-                        help="record a timeline and write Perfetto JSON "
-                             "here (per-policy sim timelines when "
-                             "--workers 1, the executor wall-clock "
-                             "timeline otherwise)")
+                        help="record each cell's simulated timeline and "
+                             "write it as Perfetto JSON here (PATH-<policy> "
+                             "for several policies); recorded cells "
+                             "bypass the result cache")
     parent.add_argument("--top", type=int, default=10,
                         help="kernels shown in the --obs phase breakdown")
     return parent
 
 
 def _exec_parent() -> argparse.ArgumentParser:
-    """Executor knobs shared by run / max-batch / sweep-degree / bench run."""
+    """Executor knobs shared by every cell-running command."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--workers", type=int, default=1,
-                        help="worker processes (1 = in-process serial; "
-                             ">1 journals the run for `repro runs resume`)")
+                        help="worker processes in the executor pool "
+                             "(default: 1)")
     parent.add_argument("--cell-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-cell wall-clock timeout")

@@ -14,14 +14,15 @@ loop could not offer:
   retried up to ``retries`` extra attempts, with exponential backoff.
 
 Because every cell is a deterministic function of its journaled payload
-(see :mod:`repro.api`), scheduling is free to be arbitrary: parallel runs,
-serial runs, and killed-then-resumed runs all produce bit-identical
+(see :mod:`repro.api`), scheduling is free to be arbitrary: runs at any
+pool size, and killed-then-resumed runs, all produce bit-identical
 simulated metrics — only wall-clock differs. The test suite enforces this.
 The same property powers the optional content-addressed result cache
 (:mod:`repro.exec.cache`): when one is attached, first attempts consult it
 before any worker is spawned — a hit journals the stored result as if the
 cell had run — and fresh deterministic results are stored for the next
-sweep, bench, or CI run that needs the identical cell.
+sweep, bench, or CI run that needs the identical cell. A recorded
+(``obs``) task never touches the cache (:func:`~repro.exec.tasks.uses_cache`).
 
 Progress is reported two ways: a ``progress`` callback gets human lines,
 and an optional :class:`repro.obs.SpanRecorder` gets per-cell spans and
@@ -40,9 +41,10 @@ from dataclasses import asdict, dataclass
 from multiprocessing.connection import Connection
 from typing import Any, Callable, Optional, Sequence
 
+from ..api import REQUEST_KINDS
 from .cache import CACHEABLE_STATUSES, ResultCache
 from .journal import RunJournal
-from .tasks import Task, execute_task, maybe_inject_fault
+from .tasks import Task, execute_task, maybe_inject_fault, uses_cache
 
 #: Statuses the executor will retry (everything else is deterministic).
 RETRYABLE_STATUSES = ("failed",)
@@ -231,11 +233,16 @@ class Executor:
             nonlocal completed
             result["attempts"] = attempt
             result.setdefault("error", "")
+            if task.kind in REQUEST_KINDS:
+                # A cell the worker never reported (timeout, crash) still
+                # names its request, so every renderer can row it.
+                result.setdefault("request", task.payload)
             results[task.key] = result
             completed += 1
             if journal is not None:
                 journal.finish(task.key, result)
-            if (self.cache is not None and not result.get("cached")
+            if (self.cache is not None and uses_cache(task)
+                    and not result.get("cached")
                     and result["status"] in CACHEABLE_STATUSES):
                 if self.cache.put(self.cache.key(task.kind, task.payload),
                                   result):
@@ -326,7 +333,8 @@ class Executor:
                     task, attempt = queue.popleft()
                     # Consult the content-addressed cache before spawning
                     # a worker; a hit fills the cell as if it had run.
-                    if attempt == 1 and self.cache is not None:
+                    if (attempt == 1 and self.cache is not None
+                            and uses_cache(task)):
                         hit = self.cache.get(
                             self.cache.key(task.kind, task.payload))
                         if hit is not None:

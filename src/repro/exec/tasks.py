@@ -7,6 +7,12 @@ point a worker runs: it rebuilds the typed request from the payload,
 executes it, and returns a JSON-serializable result dict whose ``status``
 is one of :data:`repro.api.RUN_STATUSES`.
 
+A request task whose payload carries the ``obs`` run-mode key (a trace
+path, plus ``top`` for a phase-breakdown table) runs recorded: the worker
+attaches a :class:`~repro.obs.SpanRecorder` and writes the cell's
+simulated Perfetto timeline itself. Such a task exists for that side
+effect, so :func:`uses_cache` keeps it away from the result cache.
+
 Fault injection (tests and chaos drills) rides on the ``REPRO_EXEC_INJECT``
 environment variable: a JSON object mapping task keys to an injection spec
 (``{"mode": "crash"|"sigkill"|"hang"|"flaky", ...}``). Workers consult it
@@ -61,8 +67,9 @@ def experiment_task(request: Any, key: Optional[str] = None, *,
     kind defaults to the request's own (``experiment`` or ``serve``).
     The ``bench-cell`` and ``tournament-cell`` kinds pass theirs plus
     their run-mode keys (``mode``: ``repeats``/``warmup_runs``/
-    ``collect_health``, or the tournament's ``pressure`` label), which
-    ride next to the canonical request fields.
+    ``collect_health``, the tournament's ``pressure`` label, or a
+    recorded cell's ``obs``/``top``), which ride next to the canonical
+    request fields.
     """
     resolved = request.resolved()
     return Task(
@@ -70,6 +77,15 @@ def experiment_task(request: Any, key: Optional[str] = None, *,
         kind=kind if kind is not None else resolved.kind,
         payload={**resolved.canonical_payload(), **mode},
     )
+
+
+def uses_cache(task: Task) -> bool:
+    """Whether the result cache may serve or store ``task``'s result.
+
+    A recorded (``obs``) task always runs: a cached result would skip the
+    trace file it exists to write.
+    """
+    return "obs" not in task.payload
 
 
 def maybe_inject_fault(key: str, attempt: int) -> None:
@@ -116,14 +132,54 @@ def execute_task(kind: str, payload: dict[str, Any],
         from ..api import RunRequest, execute
 
         TELEMETRY.set_phase("run" if kind == KIND_EXPERIMENT else kind)
-        return execute(RunRequest.from_dict(payload)).to_dict()
+        request = RunRequest.from_dict(payload)
+        if "obs" in payload:
+            return _execute_recorded(request, payload["obs"],
+                                     payload.get("top"))
+        return execute(request).to_dict()
     if kind == KIND_BENCH_CELL:
         from ..bench.runner import run_scenario_cell
 
-        return {"status": "ok", "cell": run_scenario_cell(payload)}
+        # The envelope the executor gives every result, so `cache verify`
+        # compares a re-run against a stored entry key for key.
+        return {"status": "ok", "cell": run_scenario_cell(payload),
+                "error": ""}
     if kind == KIND_TOURNAMENT_CELL:
         from ..harness.tournament import run_tournament_cell
 
         TELEMETRY.set_phase("run")
         return run_tournament_cell(payload)
     raise ValueError(f"unknown task kind {kind!r}; known: {TASK_KINDS}")
+
+
+def _execute_recorded(request: Any, path: str,
+                      top: Optional[int]) -> dict[str, Any]:
+    """Run ``request`` recorded and write its Perfetto timeline to ``path``.
+
+    The result carries an ``obs`` section: the ``note`` for the command's
+    table and, with ``top``, the per-kernel phase ``breakdown`` table.
+    Tensor-swap facades have no UM engine to record, so such a cell runs
+    unrecorded under a note saying so.
+    """
+    from dataclasses import replace
+
+    from ..api import execute
+    from ..harness.report import phase_breakdown_table
+    from ..obs import SpanRecorder, write_chrome_trace
+
+    recorder = SpanRecorder()
+    try:
+        result = execute(replace(request, recorder=recorder))
+    except TypeError:
+        doc = execute(request).to_dict()
+        doc["obs"] = {"note": "no obs (tensor-swap)"}
+        return doc
+    write_chrome_trace(recorder, path)
+    obs = {"note": f"trace: {path}"}
+    if top is not None:
+        obs["breakdown"] = phase_breakdown_table(
+            recorder, top, title=f"{request.policy}: per-kernel phase "
+                                 "breakdown (worst stalls first)")
+    doc = result.to_dict()
+    doc["obs"] = obs
+    return doc

@@ -1,22 +1,22 @@
 """Parameter sweeps: maximum-batch search (Tables 3 and 7).
 
 Probes are warm-up-only cells (``RunRequest(measure_iterations=0)``) run
-through :func:`repro.api.execute`, so a probe reports *why* it failed, not
-just that it did. :func:`max_batch_outcome` returns the full structured
+as executor tasks (:mod:`repro.exec`), so a probe reports *why* it failed,
+not just that it did, and honours the executor's timeout, retries and
+result cache. :func:`max_batch_outcome` returns the full structured
 result — including the smallest probed batch and its failure cause when
 nothing fits — and :func:`max_batch_search` stays as the integer-returning
 compatibility wrapper.
 
-With ``probe_workers > 1`` the doubling phase probes several upcoming
-batch sizes speculatively through the process-pool executor
-(:mod:`repro.exec`); because a probe's outcome is a deterministic function
-of its request, the parallel search lands on exactly the serial answer.
+The doubling phase probes as many upcoming batch sizes at once as the
+executor has workers; because a probe's outcome is a deterministic
+function of its request, every pool size lands on the same answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from ..config import DeepUMConfig, SystemConfig
 from ..models.registry import get_model_config
@@ -55,8 +55,8 @@ class _Prober:
 
     def __init__(self, model: str, policy: str, system: SystemConfig, *,
                  scale: float, iterations: int,
-                 deepum_config: Optional[DeepUMConfig], seed: int = 0,
-                 cache=None):
+                 deepum_config: Optional[DeepUMConfig], seed: int,
+                 executor: Any):
         self.model = model
         self.policy = policy
         self.system = system
@@ -64,10 +64,7 @@ class _Prober:
         self.iterations = iterations
         self.deepum_config = deepum_config
         self.seed = seed
-        #: Optional content-addressed result cache (repro.exec.cache);
-        #: probes are experiment cells with measure=0, so fit outcomes
-        #: memoize across sweeps exactly like measured cells.
-        self.cache = cache
+        self.executor = executor
         #: batch -> (status, error) for every probe ever run.
         self.outcomes: dict[int, tuple[str, str]] = {}
 
@@ -81,55 +78,26 @@ class _Prober:
             deepum_config=self.deepum_config, system=self.system,
         )
 
-    def record(self, batch: int, status: str, error: str) -> bool:
-        self.outcomes[batch] = (status, error)
-        from ..api import STATUS_OK
-
-        return status == STATUS_OK
-
     def __call__(self, batch: int) -> bool:
         """True if ``batch`` completes the probe iterations without OOM."""
-        cached = self.outcomes.get(batch)
-        if cached is not None:
-            from ..api import STATUS_OK
+        from ..api import STATUS_OK
 
-            return cached[0] == STATUS_OK
-        from ..api import execute
+        self.probe_many([batch])
+        return self.outcomes[batch][0] == STATUS_OK
 
-        key = None
-        if self.cache is not None:
-            from ..exec.tasks import KIND_EXPERIMENT
+    def probe_many(self, batches: list[int]) -> None:
+        """Probe every not-yet-probed batch through the executor."""
+        from ..exec import experiment_task
 
-            key = self.cache.key(
-                KIND_EXPERIMENT, self.request(batch).canonical_payload())
-            doc = self.cache.get(key)
-            if doc is not None:
-                return self.record(batch, doc["status"],
-                                   doc.get("error", ""))
-        result = execute(self.request(batch))
-        if self.cache is not None and key is not None:
-            self.cache.put(key, result.to_dict())
-        return self.record(batch, result.status, result.error)
-
-    def probe_many(self, batches: list[int], workers: int) -> None:
-        """Probe several batches concurrently through the executor."""
         todo = [b for b in batches if b not in self.outcomes]
         if not todo:
             return
-        if workers <= 1 or len(todo) == 1:
-            for b in todo:
-                self(b)
-            return
-        from ..exec import Executor, ExecutorConfig, experiment_task
-
-        tasks = [experiment_task(self.request(b), key=f"probe-{b}")
-                 for b in todo]
-        executor = Executor(ExecutorConfig(workers=min(workers, len(todo))),
-                            cache=self.cache)
-        results = executor.run_tasks(tasks)
+        results = self.executor.run_tasks(
+            [experiment_task(self.request(b), key=f"probe-{b}")
+             for b in todo])
         for b in todo:
             doc = results[f"probe-{b}"]
-            self.record(b, doc["status"], doc.get("error", ""))
+            self.outcomes[b] = (doc["status"], doc.get("error", ""))
 
     def outcome(self, model_step: int, best: int) -> MaxBatchOutcome:
         probes = tuple(sorted(
@@ -145,20 +113,6 @@ class _Prober:
         )
 
 
-def _runs(model: str, paper_batch: int, policy: str, system: SystemConfig,
-          *, scale: float, iterations: int,
-          deepum_config: Optional[DeepUMConfig]) -> bool:
-    """True if the configuration completes ``iterations`` without OOM."""
-    from ..api import RunRequest, execute
-
-    result = execute(RunRequest(
-        model=model, policy=policy, batch=paper_batch, scale=scale,
-        warmup_iterations=iterations, measure_iterations=0,
-        deepum_config=deepum_config, system=system,
-    ))
-    return result.ok
-
-
 def max_batch_outcome(
     model: str,
     policy: str,
@@ -169,22 +123,26 @@ def max_batch_outcome(
     iterations: int = 2,
     deepum_config: Optional[DeepUMConfig] = None,
     seed: int = 0,
-    probe_workers: int = 1,
-    cache=None,
+    executor=None,
 ) -> MaxBatchOutcome:
     """Largest paper-scale batch that trains without OOM, with provenance.
 
     Doubles from a known-good starting point, then binary-searches the
-    boundary; batch granularity is the model's ``batch_divisor``. With
-    ``probe_workers > 1`` the doubling phase speculatively probes the next
-    few doublings in parallel worker processes; the boundary (and thus the
-    answer) is identical to the serial search.
+    boundary; batch granularity is the model's ``batch_divisor``. Probes
+    run on ``executor`` (a :class:`repro.exec.Executor`; default: one
+    worker, no cache). With N workers the doubling phase speculatively
+    probes the next N doublings at once; the boundary (and thus the
+    answer) is the same at every N.
     """
+    if executor is None:
+        from ..exec import Executor, ExecutorConfig
+
+        executor = Executor(ExecutorConfig(workers=1))
     cfg = get_model_config(model)
     step = cfg.batch_divisor
     prober = _Prober(model, policy, system, scale=scale,
                      iterations=iterations, deepum_config=deepum_config,
-                     seed=seed, cache=cache)
+                     seed=seed, executor=executor)
     lo = start_batch if start_batch is not None else cfg.fig9_batches[0]
     lo = max(step, (lo // step) * step)
     if not prober(lo):
@@ -200,13 +158,12 @@ def max_batch_outcome(
             return prober.outcome(step, 0)
     hi = lo * 2
     while True:
-        if probe_workers > 1:
-            # Speculative wave: probe the next few doublings concurrently.
-            # Wasted probes cost worker time, never correctness — the
-            # boundary below is read off the same per-batch outcomes the
-            # serial search would compute one by one.
-            wave = [hi * (2 ** i) for i in range(probe_workers)]
-            prober.probe_many(wave, probe_workers)
+        # Speculative wave: probe the next doublings concurrently. Wasted
+        # probes cost worker time, never correctness — the boundary below
+        # is read off the same per-batch outcomes a one-worker search
+        # computes one by one.
+        prober.probe_many(
+            [hi * (2 ** i) for i in range(executor.config.workers)])
         if not prober(hi):
             break
         lo = hi

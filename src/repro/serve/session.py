@@ -55,6 +55,25 @@ def percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[min(n, rank) - 1]
 
 
+def serve_facade(policy: str, system: Any, *, deepum_config: Any = None,
+                 seed: int = 0) -> Any:
+    """Build ``policy``'s facade; ``TypeError`` unless it is UM-family.
+
+    Serving runs on unified memory, so only facades with a UM engine
+    qualify. Cheap enough for the CLI to vet every policy before a cell
+    runs.
+    """
+    from ..harness.experiment import build_policy
+
+    facade = build_policy(policy, system, deepum_config=deepum_config,
+                          seed=seed)
+    if not hasattr(facade, "engine"):
+        raise TypeError(
+            f"policy {policy!r} is not a UM-family policy; serving "
+            "runs on unified memory (um + the prefetch-policy registry)")
+    return facade
+
+
 def run_serve_cell(req: "RunRequest") -> dict[str, Any]:
     """Execute one serve cell; returns the deterministic serve snapshot.
 
@@ -63,19 +82,14 @@ def run_serve_cell(req: "RunRequest") -> dict[str, Any]:
     errors (unknown scenario/policy, non-UM policy family); workload
     failures and OOM propagate to :func:`repro.api.execute`'s handler.
     """
-    from ..harness.experiment import build_policy
     from ..models.registry import get_model_config
 
     spec = req.serve
     assert spec is not None and req.batch is not None \
         and req.scale is not None and req.system is not None
     scenario = get_scenario(spec.scenario)
-    facade = build_policy(req.policy, req.system,
+    facade = serve_facade(req.policy, req.system,
                           deepum_config=req.deepum_config, seed=req.seed)
-    if not hasattr(facade, "engine"):
-        raise TypeError(
-            f"policy {req.policy!r} is not a UM-family policy; serving "
-            "runs on unified memory (um + the prefetch-policy registry)")
     if req.recorder is not None:
         from ..obs import attach
 

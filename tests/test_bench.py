@@ -454,6 +454,7 @@ def test_cli_bench_run_and_compare(tmp_path, capsys):
     assert main([
         "bench", "run", "--scenario", "smoke",
         "--repeats", "1", "--warmup-runs", "0", "--out", out_path,
+        "--runs-dir", str(tmp_path / "runs"),
     ]) == 0
     doc = load_result(out_path)
     assert doc["scenario"] == "smoke"

@@ -215,6 +215,7 @@ def _warm_bench_cache(tmp_path):
     cache_dir = str(tmp_path / "cache")
     assert main(["bench", "run", "--scenario", "smoke", "--repeats", "1",
                  "--warmup-runs", "0", "--cache-dir", cache_dir,
+                 "--runs-dir", str(tmp_path / "serial-runs"),
                  "--out", str(tmp_path / "BENCH.json")]) == 0
     paths = sorted((tmp_path / "cache" / "objects").rglob("*.json"))
     assert paths

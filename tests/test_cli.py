@@ -18,18 +18,20 @@ def test_list_prints_models_and_policies(capsys):
     assert "deepum" in out and "sentinel" in out
 
 
-def test_run_reports_speedups(capsys):
+def test_run_reports_speedups(tmp_path, capsys):
     assert main(["run", "bert-base", "--batch", "30",
                  "--policies", "um,deepum",
-                 "--warmup", "2", "--measure", "2"]) == 0
+                 "--warmup", "2", "--measure", "2",
+                 "--runs-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "speedup vs UM" in out
     assert "deepum" in out
 
 
-def test_run_default_batch_is_grid_midpoint(capsys):
+def test_run_default_batch_is_grid_midpoint(tmp_path, capsys):
     assert main(["run", "bert-base", "--policies", "ideal",
-                 "--warmup", "1", "--measure", "1"]) == 0
+                 "--warmup", "1", "--measure", "1",
+                 "--runs-dir", str(tmp_path)]) == 0
     assert "@ paper batch 30" in capsys.readouterr().out
 
 
@@ -43,9 +45,9 @@ def test_unknown_model_raises():
         main(["run", "alexnet"])
 
 
-def test_sweep_degree(capsys):
+def test_sweep_degree(tmp_path, capsys):
     assert main(["sweep-degree", "bert-base", "--degrees", "1,8",
-                 "--warmup", "2"]) == 0
+                 "--warmup", "2", "--runs-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "prefetch degree sweep" in out
 
@@ -76,7 +78,7 @@ def test_shared_flags_on_every_cell_command():
 def test_run_parallel_matches_serial_and_is_resumable(tmp_path, capsys):
     argv = ["run", "mobilenet", "--batch", "64", "--policies", "um,deepum",
             "--warmup", "1", "--measure", "1"]
-    assert main(argv) == 0
+    assert main(argv + ["--runs-dir", str(tmp_path / "serial")]) == 0
     serial = capsys.readouterr().out
     assert main(argv + ["--workers", "2", "--runs-dir", str(tmp_path)]) == 0
     parallel = capsys.readouterr().out
@@ -107,7 +109,7 @@ def test_run_parallel_matches_serial_and_is_resumable(tmp_path, capsys):
 
 
 def test_run_serial_table_equals_parallel_table(tmp_path, capsys):
-    # UM listed last: the serial path must still compute deepum's speedup.
+    # UM listed last: the table must still compute deepum's speedup.
     argv = ["run", "mobilenet", "--batch", "64", "--policies", "deepum,um",
             "--warmup", "1", "--measure", "1"]
 
@@ -115,7 +117,7 @@ def test_run_serial_table_equals_parallel_table(tmp_path, capsys):
         return [line for line in out.splitlines()
                 if re.match(r"\s*(um|deepum) \|", line)]
 
-    assert main(argv) == 0
+    assert main(argv + ["--runs-dir", str(tmp_path / "serial")]) == 0
     serial = rows(capsys.readouterr().out)
     assert main(argv + ["--workers", "2", "--runs-dir", str(tmp_path)]) == 0
     assert len(serial) == 2
@@ -138,7 +140,7 @@ def test_runs_show_unknown_run_exits(tmp_path):
 def test_sweep_degree_parallel_matches_serial(tmp_path, capsys):
     argv = ["sweep-degree", "mobilenet", "--batch", "64", "--degrees",
             "1,8", "--warmup", "1", "--measure", "1"]
-    assert main(argv) == 0
+    assert main(argv + ["--runs-dir", str(tmp_path / "serial")]) == 0
     serial = capsys.readouterr().out
     assert main(argv + ["--workers", "2",
                         "--runs-dir", str(tmp_path)]) == 0
@@ -173,16 +175,127 @@ def test_max_batch_reports_does_not_run_cause(capsys, monkeypatch):
     assert "why not larger" in out
 
 
-def test_run_obs_parallel_writes_executor_timeline(tmp_path, capsys):
-    trace_path = tmp_path / "exec.json"
+def _obs_run(tmp_path, name, *extra):
+    """``repro run --obs`` over a UM and a tensor-swap policy; returns the
+    output and the per-policy trace paths."""
+    trace = tmp_path / name / "t.json"
+    trace.parent.mkdir(exist_ok=True)
     assert main(["run", "mobilenet", "--batch", "64", "--policies",
-                 "um,deepum", "--warmup", "1", "--measure", "1",
-                 "--workers", "2", "--runs-dir", str(tmp_path / "runs"),
-                 "--obs", str(trace_path)]) == 0
-    assert "executor timeline" in capsys.readouterr().out
-    doc = json.loads(trace_path.read_text())
-    names = {event.get("name") for event in doc["traceEvents"]}
-    assert "mobilenet@64/um" in names
+                 "um,deepum,vdnn", "--warmup", "1", "--measure", "1",
+                 "--runs-dir", str(tmp_path / "runs"),
+                 "--obs", str(trace), *extra]) == 0
+    return trace.parent / "t-um.json", trace.parent / "t-deepum.json"
+
+
+def test_run_obs_writes_the_same_sim_traces_at_every_worker_count(
+        tmp_path, capsys):
+    """Each worker records its own cell: the per-policy simulated
+    timelines are byte-identical whatever the pool size."""
+    one = _obs_run(tmp_path, "one")
+    out = capsys.readouterr().out
+    two = _obs_run(tmp_path, "two", "--workers", "2")
+    assert re.search(r"vdnn \|.*no obs \(tensor-swap\)", out), out
+    assert f"trace: {one[0]}" in out
+    assert "um: per-kernel phase breakdown" in out
+    assert "deepum: per-kernel phase breakdown" in out
+    assert "vdnn: per-kernel" not in out
+    assert not (tmp_path / "one" / "t-vdnn.json").exists()
+    for a, b in zip(one, two):
+        validate_chrome_trace(json.loads(a.read_text()))
+        assert a.read_bytes() == b.read_bytes()
+
+
+def test_obs_cells_bypass_the_result_cache(tmp_path, capsys):
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    _obs_run(tmp_path, "first", *cache)
+    capsys.readouterr()
+    traces = _obs_run(tmp_path, "second", *cache)
+    out = capsys.readouterr().out
+    assert all(path.exists() for path in traces)
+    assert "(cached)" not in out and "hits=" not in out
+    assert not (tmp_path / "cache").exists()
+
+
+def test_runs_resume_of_an_obs_run_prints_the_live_output(tmp_path,
+                                                          capsys):
+    from repro.exec import RunJournal, list_runs
+
+    traces = _obs_run(tmp_path, "live")
+    out = capsys.readouterr().out
+    live = out[out.index("policy |"):]  # the table and the breakdowns
+    (summary,) = list_runs(str(tmp_path / "runs"))
+    resume = ["runs", "resume", summary["run_id"],
+              "--runs-dir", str(tmp_path / "runs")]
+    assert main(resume) == 0
+    assert capsys.readouterr().out.endswith(live)
+    # A re-executed recorded cell rewrites its trace.
+    journal = RunJournal.load(summary["run_id"], str(tmp_path / "runs"))
+    journal.reset(journal.keys())
+    before = traces[0].read_bytes()
+    traces[0].unlink()
+    assert main(resume) == 0
+    assert capsys.readouterr().out.endswith(live)
+    assert traces[0].read_bytes() == before
+
+
+# The cell-running commands at their default pool size of one worker.
+ONE_WORKER = {
+    "run": ["run", "mobilenet", "--batch", "64", "--policies", "um,deepum",
+            "--warmup", "1", "--measure", "1"],
+    "serve": ["serve", "dlrm", "--requests", "4", "--warmup", "1",
+              "--policies", "um,deepum"],
+    "sweep-degree": ["sweep-degree", "mobilenet", "--batch", "64",
+                     "--degrees", "1,8", "--warmup", "1", "--measure", "1"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_WORKER))
+def test_one_worker_honours_cache_dir_and_runs_dir(kind, tmp_path, capsys):
+    argv = ONE_WORKER[kind] + ["--runs-dir", str(tmp_path / "runs"),
+                               "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv) == 0
+    assert "misses=2" in capsys.readouterr().out
+    assert main(argv) == 0
+    assert "cache: hits=2 misses=0" in capsys.readouterr().out
+    assert main(["runs", "list", "--runs-dir", str(tmp_path / "runs")]) == 0
+    listing = capsys.readouterr().out
+    assert listing.count(f" {kind} ") == 2 and "ok=2" in listing
+
+
+@pytest.mark.parametrize("mode", ["hang", "crash"])
+@pytest.mark.parametrize("kind", sorted(ONE_WORKER))
+def test_cells_ended_without_a_result_render_their_row(kind, mode, tmp_path,
+                                                       capsys, monkeypatch):
+    """A cell the executor times out, or whose worker dies, still gets
+    its row in the command's table (named from its journaled request)."""
+    from repro.exec import INJECT_ENV
+
+    victim = {"run": "mobilenet@64/um", "serve": "serve-dlrm@160000/um",
+              "sweep-degree": "mobilenet@64/deepum/N8"}[kind]
+    monkeypatch.setenv(INJECT_ENV, json.dumps({victim: {"mode": mode}}))
+    timeout = ["--cell-timeout", "5"] if mode == "hang" else []
+    assert main(ONE_WORKER[kind] + ["--runs-dir", str(tmp_path),
+                                    "--retries", "0", *timeout]) == 1
+    out = capsys.readouterr().out
+    status = "timeout" if mode == "hang" else "failed"
+    label = "8" if kind == "sweep-degree" else "um"
+    assert re.search(rf"^\s*{label} \|.*\| {status}: ", out, re.M), out
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_serve_rejects_a_non_um_policy_before_any_cell(workers, tmp_path):
+    with pytest.raises(SystemExit, match="serve: policy 'lms' is not a "
+                                         "UM-family policy"):
+        main(["serve", "dlrm", "--requests", "4", "--policies", "um,lms",
+              "--workers", workers, "--runs-dir", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
+
+
+def test_max_batch_honours_cell_timeout(capsys):
+    assert main(["max-batch", "mobilenet", "--policies", "um",
+                 "--cell-timeout", "0.001", "--retries", "0"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"does not run .*wall-clock timeout", out), out
 
 
 # Every journaled kind: argv of its live command (an --out artifact, if the
