@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Record a DeepUM run and analyze what the prefetcher saw.
 
-Records a DeepUM run with a :class:`repro.obs.SpanRecorder`, writes the
-recording as a Perfetto-loadable Chrome trace, and prints the summaries
+Runs one GPT-2 cell with a :class:`repro.obs.SpanRecorder` attached
+through ``execute(..., observe=...)``, writes the recording as a Perfetto-loadable Chrome trace, and prints the summaries
 the paper's design hinges on: the training kernel stream is almost
 perfectly periodic (so correlation tables work), faults concentrate in
 specific kernels, and blocks refault on an iteration-scale cycle (so
@@ -13,12 +13,14 @@ Run:  python examples/trace_analysis.py [output.json]
 
 import sys
 import tempfile
+from functools import partial
 
-from repro import DeepUM, DeepUMConfig, GPUSpec, HostSpec, SystemConfig
+from repro import DeepUMConfig, GPUSpec, HostSpec, SystemConfig
+from repro.api import RunRequest, execute
 from repro.constants import GiB, MiB
-from repro.models import build_gpt2
 from repro.obs import (
     SpanRecorder,
+    attach,
     iteration_fault_counts,
     trace_summary,
     write_chrome_trace,
@@ -32,12 +34,12 @@ def main() -> None:
     system = SystemConfig(gpu=GPUSpec(memory_bytes=192 * MiB),
                           host=HostSpec(memory_bytes=4 * GiB))
     recorder = SpanRecorder()
-    deepum = DeepUM(system, DeepUMConfig(prefetch_degree=32),
-                    recorder=recorder)
-
-    workload = build_gpt2(deepum.device, batch_size=2, variant="l", scale=0.125)
-    iterations = 5
-    workload.run(iterations)
+    # The recorder sees warm-up and measured iterations alike.
+    request = RunRequest(model="gpt2-l", batch=2, scale=0.125, system=system,
+                         deepum_config=DeepUMConfig(prefetch_degree=32),
+                         warmup_iterations=2, measure_iterations=3)
+    iterations = request.warmup_iterations + request.measure_iterations
+    execute(request, observe=partial(attach, recorder=recorder))
     write_chrome_trace(recorder, out_path)
 
     summary = trace_summary(recorder)

@@ -11,9 +11,9 @@ in a resumed run — must produce bit-identical simulated metrics.
 ``RunRequest``/``RunResult`` round-trip through plain dicts
 (:meth:`RunRequest.to_dict` / :meth:`RunRequest.from_dict`), which is how
 the process-pool executor (:mod:`repro.exec`) ships cells to workers and
-journals their outcomes to disk. The one non-value field, ``recorder``, is
-a live observer object: it is excluded from comparison and serialization,
-and only in-process callers can use it.
+journals their outcomes to disk. Observers (a recorder, the wall-clock
+profiler) are not part of the request: they ride on
+``execute(request, observe=...)``, in-process only.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .config import (
     PowerSpec,
     SystemConfig,
 )
-from .harness.experiment import ExperimentResult, run_experiment
+from .harness.experiment import ExperimentResult, Observer, run_experiment
 from .harness.metrics import WindowMetrics
 from .serve.spec import ServeSpec
 
@@ -110,9 +110,6 @@ class RunRequest:
     #: The serve payload (arrival trace, SLO target, hint switch); must be
     #: present exactly when ``kind == "serve"``.
     serve: Optional[ServeSpec] = None
-    #: Live observer (e.g. ``repro.obs.SpanRecorder``); in-process only.
-    #: Excluded from equality and from :meth:`to_dict`.
-    recorder: Optional[Any] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in REQUEST_KINDS:
@@ -167,7 +164,7 @@ class RunRequest:
         return self.resolved().to_dict()
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form; the live ``recorder`` is dropped."""
+        """JSON-serializable form."""
         doc: dict[str, Any] = {
             "model": self.model,
             "policy": self.policy,
@@ -329,36 +326,8 @@ def sim_snapshot(result: ExperimentResult) -> dict[str, Any]:
     }
 
 
-def _execute_probe(req: RunRequest) -> RunResult:
-    """Fit test: run the warm-up window only, report ``ok``/``oom``."""
-    from .baselines import TensorSwapOOM
-    from .core.um_manager import UMCapacityError
-    from .harness.experiment import build_policy
-    from .models.registry import get_model_config
-    from .torchsim.allocator import TorchSimOOM
-
-    assert req.batch is not None and req.system is not None
-    cfg = get_model_config(req.model)
-    try:
-        facade = build_policy(req.policy, req.system,
-                              deepum_config=req.deepum_config, seed=req.seed)
-        workload = cfg.build(facade.device, cfg.sim_batch(req.batch),
-                             scale=req.scale)
-        workload.run(req.warmup_iterations)
-    except (UMCapacityError, TorchSimOOM, TensorSwapOOM) as exc:
-        return RunResult(request=req, status=STATUS_OOM,
-                         error=f"{type(exc).__name__}: {exc}")
-    except (KeyError, TypeError):
-        raise  # unknown name / recorder-facade mismatch: a caller error
-    except Exception:
-        return RunResult(request=req, status=STATUS_FAILED,
-                         error=traceback.format_exc())
-    peak = getattr(facade, "peak_populated_bytes", 0)
-    return RunResult(request=req, status=STATUS_OK,
-                     snapshot={"peak_populated_bytes": peak})
-
-
-def _execute_serve(req: RunRequest) -> RunResult:
+def _execute_serve(req: RunRequest,
+                   observe: Optional[Observer]) -> RunResult:
     """Run one serve cell through the open-loop session loop."""
     from .baselines import TensorSwapOOM
     from .core.um_manager import UMCapacityError
@@ -366,7 +335,7 @@ def _execute_serve(req: RunRequest) -> RunResult:
     from .torchsim.allocator import TorchSimOOM
 
     try:
-        snapshot = run_serve_cell(req)
+        snapshot = run_serve_cell(req, observe=observe)
     except (UMCapacityError, TorchSimOOM, TensorSwapOOM) as exc:
         return RunResult(request=req, status=STATUS_OOM,
                          error=f"{type(exc).__name__}: {exc}")
@@ -378,22 +347,28 @@ def _execute_serve(req: RunRequest) -> RunResult:
     return RunResult(request=req, status=STATUS_OK, snapshot=snapshot)
 
 
-def execute(request: RunRequest) -> RunResult:
+def execute(request: RunRequest, *,
+            observe: Optional[Observer] = None) -> RunResult:
     """Run one cell; every outcome is a :class:`RunResult`, never a raise.
 
+    ``observe`` is the cell's one observer hook: a one-argument callable
+    handed the freshly built facade before the workload is built, for
+    training, probe and serve cells alike (see
+    :func:`repro.harness.experiment.build_cell_facade`). Record a cell
+    with ``observe=functools.partial(repro.obs.attach, recorder=rec)``.
+
     The two exceptions to "never a raise": unknown model/policy names
-    (``KeyError``) and attaching a recorder to a facade that cannot carry
-    one (``TypeError``) are caller errors surfaced before the cell runs.
-    Everything that happens *inside* the cell — OOM, a simulator bug, a
-    workload crash — is captured as ``oom``/``failed`` with the cause (a
-    full traceback for unexpected failures), which is what lets the
-    executor degrade one cell instead of aborting a sweep.
+    (``KeyError``) and an observer refusing the facade (``TypeError``,
+    e.g. a recorder on a tensor-swap facade) are caller errors surfaced
+    before the cell runs. Everything that happens *inside* the cell —
+    OOM, a simulator bug, a workload crash — is captured as
+    ``oom``/``failed`` with the cause (a full traceback for unexpected
+    failures), which is what lets the executor degrade one cell instead
+    of aborting a sweep.
     """
     req = request.resolved()
     if req.kind == KIND_SERVE:
-        return _execute_serve(req)
-    if req.measure_iterations <= 0:
-        return _execute_probe(req)
+        return _execute_serve(req, observe)
     assert req.batch is not None
     try:
         exp = run_experiment(
@@ -406,16 +381,21 @@ def execute(request: RunRequest) -> RunResult:
             measure_iterations=req.measure_iterations,
             deepum_config=req.deepum_config,
             seed=req.seed,
-            recorder=req.recorder,
+            observe=observe,
         )
     except (KeyError, TypeError):
-        raise  # unknown name / recorder-facade mismatch: a caller error
+        raise  # unknown name / observer-facade mismatch: a caller error
     except Exception:
         return RunResult(request=req, status=STATUS_FAILED,
                          error=traceback.format_exc())
     if exp.oom:
         return RunResult(request=req, status=STATUS_OOM,
                          error=exp.oom_reason, experiment=exp)
+    if req.measure_iterations <= 0:  # a probe: the warm-up fit
+        return RunResult(
+            request=req, status=STATUS_OK,
+            snapshot={"peak_populated_bytes": exp.peak_populated_bytes},
+            experiment=exp)
     return RunResult(request=req, status=STATUS_OK,
                      snapshot=sim_snapshot(exp), metrics=exp.window,
                      experiment=exp)

@@ -19,10 +19,9 @@ class NaiveUM:
     """UM facade with no driver assistance (same interface as DeepUM)."""
 
     def __init__(self, system: SystemConfig, *, seed: int = 0,
-                 block_size: int | None = None, recorder=None):
+                 block_size: int | None = None):
         self.system = system
-        self.engine = UMSimulator(system, block_size=block_size,
-                                  recorder=recorder)
+        self.engine = UMSimulator(system, block_size=block_size)
         self.manager = UMMemoryManager(
             self.engine, host_capacity=system.host.memory_bytes, runtime=None
         )

@@ -47,14 +47,12 @@ def run_cell(
     warmup_iterations: int = DEFAULT_WARMUP,
     measure_iterations: int = DEFAULT_MEASURE,
     seed: int = 0,
-    recorder=None,
 ) -> ExperimentResult:
     """One experiment cell under the bench's pinned iteration counts.
 
     This is the primitive the figure/table benchmarks share (see
     ``benchmarks/common.py``): one :class:`repro.api.RunRequest` executed
-    in-process. Pass ``recorder`` (a
-    :class:`~repro.obs.recorder.SpanRecorder`) to instrument the run.
+    in-process.
     """
     result = execute(
         RunRequest(
@@ -65,7 +63,6 @@ def run_cell(
             measure_iterations=measure_iterations,
             deepum_config=deepum_config,
             seed=seed,
-            recorder=recorder,
         )
     )
     return _checked(result)
@@ -131,11 +128,14 @@ def run_scenario_cell(payload: dict[str, Any]) -> dict[str, Any]:
     Returns the cell document stored under ``cells`` in the bench result,
     plus a ``peak_rss_bytes`` key (this process's high-water mark) that
     :func:`bench_document` pops into the document level. Raises
-    :class:`BenchRunError` on OOM or nondeterminism — in a worker process
-    that surfaces as a ``failed`` cell with the traceback.
+    :class:`BenchRunError` on OOM or nondeterminism, and
+    :class:`~repro.obs.prof.NeutralityError` if the health pass moved a
+    simulated metric — in a worker process either surfaces as a
+    ``failed`` cell with the traceback.
     """
     from ..exec.telemetry import TELEMETRY
     from ..obs.doctor import judge
+    from ..obs.prof import check_neutral
 
     request = RunRequest.from_dict(payload)
     cell_name = request.cell_key
@@ -186,12 +186,7 @@ def run_scenario_cell(payload: dict[str, Any]) -> dict[str, Any]:
         judged = judge(request)
         if judged is not None:
             inst_sim = _sim_metrics(_checked(judged.result))
-            if inst_sim != sim:
-                raise BenchRunError(
-                    f"{cell_name}: attribution changed simulated "
-                    f"metrics ({sim} vs {inst_sim}); the recorder must "
-                    f"be observation-only"
-                )
+            check_neutral(cell_name, sim, inst_sim, "decision attribution")
             assert judged.health is not None
             cell["policy_health"] = judged.health.to_dict()
     cell["wall_breakdown"] = TELEMETRY.wall_breakdown()

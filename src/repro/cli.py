@@ -401,7 +401,9 @@ def _recorded_run(args: argparse.Namespace, policy: str):
     recorder)``; the recorder is None, once the failure is printed, when
     the cell did not finish ``ok``.
     """
-    from .obs import SpanRecorder
+    from functools import partial
+
+    from .obs import SpanRecorder, attach
 
     cfg = get_model_config(args.model)
     batch = args.batch if args.batch is not None else \
@@ -415,8 +417,7 @@ def _recorded_run(args: argparse.Namespace, policy: str):
             DeepUMConfig(prefetch_degree=args.degree)
             if policy_accepts_config(policy) else None
         ),
-        recorder=recorder,
-    ))
+    ), observe=partial(attach, recorder=recorder))
     if not result.ok:
         print(f"{policy} {result.status}: {_error_tail(result.error)}")
         return batch, None

@@ -32,14 +32,12 @@ class DeepUM:
         *,
         seed: int = 0,
         block_size: int | None = None,
-        recorder=None,
         prefetch_policy: str = "deepum",
     ):
         self.system = system
         self.config = config if config is not None else DeepUMConfig()
         self.prefetch_policy = prefetch_policy
-        self.engine = UMSimulator(system, block_size=block_size,
-                                  recorder=recorder)
+        self.engine = UMSimulator(system, block_size=block_size)
         policy = build_prefetch_policy(prefetch_policy, self.engine,
                                        self.config)
         self.driver = DeepUMDriver(self.engine, self.config, policy)

@@ -71,8 +71,6 @@ class DeepUMDriver:
             self.pop_prefetch = policy.pop_command
         if config.enable_preeviction and policy.preevictor is not None:
             self.background_tick = policy.preevictor.tick
-        if engine.recorder.enabled:
-            self.attach_recorder(engine.recorder)
 
     def attach_recorder(self, recorder) -> None:
         """Thread an observability recorder through the driver threads.

@@ -161,15 +161,15 @@ def _execute_recorded(request: Any, path: str,
     Tensor-swap facades have no UM engine to record, so such a cell runs
     unrecorded under a note saying so.
     """
-    from dataclasses import replace
+    from functools import partial
 
     from ..api import execute
     from ..harness.report import phase_breakdown_table
-    from ..obs import SpanRecorder, write_chrome_trace
+    from ..obs import SpanRecorder, attach, write_chrome_trace
 
     recorder = SpanRecorder()
     try:
-        result = execute(replace(request, recorder=recorder))
+        result = execute(request, observe=partial(attach, recorder=recorder))
     except TypeError:
         doc = execute(request).to_dict()
         doc["obs"] = {"note": "no obs (tensor-swap)"}

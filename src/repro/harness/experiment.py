@@ -12,7 +12,7 @@ scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from ..config import DeepUMConfig, GPUSpec, HostSpec, SystemConfig
 from ..constants import MiB
@@ -240,6 +240,33 @@ def _snapshot(facade) -> Snapshot:
     )
 
 
+#: A cell observer: any one-argument callable, handed the cell's freshly
+#: built facade by :func:`build_cell_facade`. Its return value is ignored.
+Observer = Callable[[Any], object]
+
+
+def build_cell_facade(policy: str, system: SystemConfig, *,
+                      deepum_config: Optional[DeepUMConfig] = None,
+                      seed: int = 0,
+                      observe: Optional[Observer] = None):
+    """Build one cell's policy facade and hand it to ``observe``.
+
+    Every cell — training, probe and serve alike — gets its facade here,
+    so an observer sees exactly one freshly built facade per cell, before
+    the workload is built. ``observe`` is any one-argument callable: a
+    recorder (``functools.partial(repro.obs.attach, recorder=rec)``,
+    UM-family policies only; tensor-swap facades raise ``TypeError``) or
+    the wall-clock profiler (:mod:`repro.obs.prof`). It must be
+    observation-only: observing a cell may never change its simulated
+    metrics.
+    """
+    facade = build_policy(policy, system, deepum_config=deepum_config,
+                          seed=seed)
+    if observe is not None:
+        observe(facade)
+    return facade
+
+
 def run_experiment(
     model: str,
     paper_batch: int,
@@ -251,35 +278,23 @@ def run_experiment(
     measure_iterations: int = 3,
     deepum_config: Optional[DeepUMConfig] = None,
     seed: int = 0,
-    recorder=None,
-    instrument=None,
+    observe: Optional[Observer] = None,
 ) -> ExperimentResult:
     """Train ``model`` under ``policy`` and measure the steady-state window.
 
-    Pass a :class:`~repro.obs.recorder.SpanRecorder` as ``recorder`` to
-    capture the run's timeline (UM-family policies only; tensor-swap
-    facades raise ``TypeError``). The recorder sees the whole run including
-    warm-up — filter by kernel record timestamps if only the measurement
-    window matters.
-
-    ``instrument`` is an optional callable invoked with the freshly built
-    facade before the workload is constructed — the seam the wall-clock
-    profiler (:mod:`repro.obs.prof`) installs through. Like the recorder,
-    it must be observation-only: instrumenting a run may never change its
-    simulated metrics.
+    ``observe`` is handed the facade before the workload is built (see
+    :func:`build_cell_facade`); a recorder attached that way sees the
+    whole run including warm-up — filter by kernel record timestamps if
+    only the measurement window matters. ``measure_iterations=0`` makes
+    the run a probe: warm-up only, no measurement window.
     """
     cfg = get_model_config(model)
     if scale is None:
         scale = cfg.sim_scale
     if system is None:
         system = calibrate_system(model, scale=scale)
-    facade = build_policy(policy, system, deepum_config=deepum_config, seed=seed)
-    if recorder is not None:
-        from ..obs import attach
-
-        attach(facade, recorder)
-    if instrument is not None:
-        instrument(facade)
+    facade = build_cell_facade(policy, system, deepum_config=deepum_config,
+                               seed=seed, observe=observe)
     from ..exec.telemetry import TELEMETRY
     sim_batch = cfg.sim_batch(paper_batch)
     result = ExperimentResult(
@@ -289,15 +304,19 @@ def run_experiment(
     try:
         workload = cfg.build(facade.device, sim_batch, scale=scale)
         workload.run(warmup_iterations)
-        before = _snapshot(facade)
-        TELEMETRY.set_sim_time(before.elapsed)
-        workload.run(measure_iterations)
-        after = _snapshot(facade)
-        TELEMETRY.set_sim_time(after.elapsed)
+        if measure_iterations > 0:
+            before = _snapshot(facade)
+            TELEMETRY.set_sim_time(before.elapsed)
+            workload.run(measure_iterations)
+            after = _snapshot(facade)
+            TELEMETRY.set_sim_time(after.elapsed)
     except (UMCapacityError, TorchSimOOM, TensorSwapOOM) as exc:
         result.oom = True
         result.oom_reason = f"{type(exc).__name__}: {exc}"
         return result
+    result.peak_populated_bytes = getattr(facade, "peak_populated_bytes", 0)
+    if measure_iterations <= 0:
+        return result  # a probe: the warm-up fit; nothing to measure
     power = system.power
     result.window = WindowMetrics.between(
         before, after, measure_iterations,
@@ -305,6 +324,5 @@ def run_experiment(
         gpu_watts=power.gpu_active_watts,
         link_watts=power.link_active_watts,
     )
-    result.peak_populated_bytes = getattr(facade, "peak_populated_bytes", 0)
     result.correlation_table_bytes = getattr(facade, "correlation_table_bytes", 0)
     return result

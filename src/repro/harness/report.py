@@ -50,8 +50,8 @@ def phase_breakdown_table(recorder, top_k: int = 10, *,
     """Stall-attribution table for an instrumented run (worst kernels first).
 
     ``recorder`` is the :class:`~repro.obs.recorder.SpanRecorder` a run was
-    instrumented with (see ``repro.obs.attach`` or the harness's
-    ``recorder=`` argument).
+    instrumented with (``repro.obs.attach``, e.g. as the
+    ``execute(..., observe=...)`` hook).
     """
     from .metrics import PHASE_BREAKDOWN_HEADERS, phase_breakdown_rows
 

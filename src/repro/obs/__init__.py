@@ -7,15 +7,18 @@ them as a per-kernel phase-breakdown table, a kernel-stream summary
 (:mod:`repro.obs.stream`) or a Chrome-trace (Perfetto) timeline. Recording is off by default (:data:`NULL_RECORDER`) and costs one
 boolean check per instrumentation site when disabled.
 
-Typical use::
+:func:`attach` is the only code that wires a recorder in. Typical use::
 
-    from repro import DeepUM, SystemConfig
+    from functools import partial
+    from repro.api import RunRequest, execute
     from repro.obs import SpanRecorder, attach, write_chrome_trace
 
-    deepum = DeepUM(SystemConfig.v100_32gb())
-    rec = attach(deepum)            # or DeepUM(system, recorder=SpanRecorder())
-    ... run the workload ...
+    rec = SpanRecorder()
+    execute(RunRequest(model="mobilenet"), observe=partial(attach, recorder=rec))
     write_chrome_trace(rec, "timeline.json")   # open in ui.perfetto.dev
+
+or, on a facade built by hand, ``rec = attach(deepum)`` before the first
+kernel runs.
 """
 
 from __future__ import annotations
@@ -154,8 +157,8 @@ def attach(target, recorder: Optional[SpanRecorder] = None) -> SpanRecorder:
         raise RuntimeError(
             "cannot attach a recorder mid-run: the engine has already "
             f"executed {engine.metrics.kernels} kernel(s) "
-            f"(now={engine.now:.6f}s). Attach before the first kernel, or "
-            "construct the facade with recorder=SpanRecorder()."
+            f"(now={engine.now:.6f}s). Attach before the first kernel, "
+            "e.g. as the execute(..., observe=...) hook."
         )
     engine.recorder = rec
     engine.handler.recorder = rec

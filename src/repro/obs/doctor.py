@@ -15,7 +15,8 @@ timeline (``repro trace timeline``) and the per-fault drill-down
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
 from .decisions import ALL_CAUSES, CAUSE_CHAIN_BREAK, CAUSE_EVICTED, CAUSE_LATE
@@ -261,11 +262,12 @@ def judge(request: "RunRequest") -> Optional[Judgement]:
     ``result.wall_seconds`` is the instrumented execution's wall time.
     """
     from ..api import execute
+    from . import attach
 
     recorder = SpanRecorder()
     t0 = time.perf_counter()
     try:
-        result = execute(replace(request, recorder=recorder))
+        result = execute(request, observe=partial(attach, recorder=recorder))
     except TypeError:
         return None
     result.wall_seconds = time.perf_counter() - t0

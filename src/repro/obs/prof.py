@@ -2,7 +2,7 @@
 
 The rest of ``repro.obs`` attributes **simulated** time; this module
 attributes **wall-clock** time — the measurement ground truth for the
-vectorized-core work (ROADMAP item 4). Two complementary instruments:
+vectorized-core work (ROADMAP item 2). Two complementary instruments:
 
 * :class:`WallProfiler` — instrumented timers wrapped around the hot-path
   seams (engine event loop, fault-buffer drain, fault handler, block/exec
@@ -18,11 +18,12 @@ vectorized-core work (ROADMAP item 4). Two complementary instruments:
 
 The neutrality contract mirrors PR 1's recorder invariant: profiling a run
 must leave every simulated metric bit-for-bit identical to an unprofiled
-run. :func:`profile_request` enforces it by running an uninstrumented
-reference first and comparing :func:`repro.api.sim_snapshot` dicts exactly
-— and reports the measured wall overhead of the instrumentation while it
-is at it. Exports: plain JSON (:func:`format_profile` for humans) and
-speedscope (https://www.speedscope.app) via :func:`speedscope_document`.
+run. :func:`profile_request` enforces it by running an unobserved
+reference first and comparing the two passes' ``RunResult.snapshot``
+dicts exactly — and reports the measured wall overhead of the
+instrumentation while it is at it. Exports: plain JSON
+(:func:`format_profile` for humans) and speedscope
+(https://www.speedscope.app) via :func:`speedscope_document`.
 """
 
 from __future__ import annotations
@@ -355,64 +356,54 @@ def check_neutral(cell: str, reference: dict[str, Any],
 
 
 def profile_request(request: Any, *, sample: bool = False,
-                    sample_interval: float = 0.005,
-                    check_neutrality: bool = True) -> dict[str, Any]:
+                    sample_interval: float = 0.005) -> dict[str, Any]:
     """Profile one cell: reference pass, profiled pass, neutrality check.
 
-    ``request`` is a :class:`repro.api.RunRequest`. The cell runs twice:
-    once uninstrumented (the timed reference and the neutrality anchor),
-    once with the :class:`WallProfiler` installed. Raises
-    :class:`NeutralityError` if any simulated metric moved,
-    :class:`ProfileError` if either pass does not finish ``ok``, and
-    ``TypeError`` for facades without a UM engine (mirroring ``attach``).
+    ``request`` is a :class:`repro.api.RunRequest` of any kind (training,
+    probe or serve). The cell runs twice through :func:`repro.api.execute`:
+    once unobserved (the timed reference and the neutrality anchor), once
+    with the :class:`WallProfiler` installed and started by the
+    ``observe`` hook. Raises :class:`NeutralityError` if any simulated
+    metric moved, :class:`ProfileError` if either pass does not finish
+    ``ok``, and ``TypeError`` for facades without a UM engine (mirroring
+    ``attach``).
     """
-    from ..api import sim_snapshot
-    from ..harness.experiment import run_experiment
+    from ..api import STATUS_OOM, execute
 
+    # Resolved up front so calibration never lands in the timed reference.
     req = request.resolved()
-    assert req.batch is not None
 
-    def run(instrument: Optional[Callable[[object], None]]) -> Any:
-        exp = run_experiment(
-            req.model, req.batch, req.policy, scale=req.scale,
-            system=req.system, warmup_iterations=req.warmup_iterations,
-            measure_iterations=req.measure_iterations,
-            deepum_config=req.deepum_config, seed=req.seed,
-            instrument=instrument,
-        )
-        if exp.oom:
+    def run(observe: Optional[Callable[[object], object]]) -> Any:
+        result = execute(req, observe=observe)
+        if not result.ok:
+            status = "OOMed" if result.status == STATUS_OOM else result.status
             raise ProfileError(
-                f"{req.cell_key}: cell OOMed ({exp.oom_reason}); nothing "
+                f"{req.cell_key}: cell {status} ({result.error}); nothing "
                 "to profile")
-        return exp
+        return result.snapshot
 
     t0 = time.perf_counter()
-    reference = run(None)
+    reference_sim = run(None)
     reference_seconds = time.perf_counter() - t0
-    reference_sim = sim_snapshot(reference)
 
     profiler = WallProfiler()
     sampler = (SamplingProfiler(sample_interval) if sample else None)
 
-    def instrument(facade: object) -> None:
+    def start_profiling(facade: object) -> None:
         profiler.install(facade)
         profiler.start()
         if sampler is not None:
             sampler.start()
 
     try:
-        profiled = run(instrument)
+        profiled_sim = run(start_profiling)
     finally:
         if sampler is not None:
             sampler.stop()
         if profiler._t0 is not None and profiler._t1 is None:
             profiler.stop()
         profiler.uninstall()
-    profiled_sim = sim_snapshot(profiled)
-
-    neutral = profiled_sim == reference_sim
-    if check_neutrality:
-        check_neutral(req.cell_key, reference_sim, profiled_sim, "profiling")
+    check_neutral(req.cell_key, reference_sim, profiled_sim, "profiling")
 
     total = profiler.window_seconds
     doc: dict[str, Any] = {
@@ -423,7 +414,7 @@ def profile_request(request: Any, *, sample: bool = False,
         "overhead_ratio": (total / reference_seconds
                            if reference_seconds > 0 else None),
         "sim": profiled_sim,
-        "neutral": neutral,
+        "neutral": True,  # check_neutral raised otherwise
     }
     if sampler is not None:
         doc["samples"] = sampler.to_dict()

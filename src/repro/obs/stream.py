@@ -9,8 +9,8 @@ UM-family run (DeepUM or naive UM) with no extra instrumentation.
 
 Usage::
 
-    recorder = SpanRecorder()
-    deepum = DeepUM(system, recorder=recorder)
+    deepum = DeepUM(system)
+    recorder = attach(deepum)
     workload.run(5)
     summary = trace_summary(recorder)
 """

@@ -31,13 +31,14 @@ utilization; SLO = 5x median service).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Optional
 
 from .arrivals import generate_arrivals
 from .scenarios import get_scenario
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..api import RunRequest
+    from ..harness.experiment import Observer
 
 #: Offered utilization when the spec does not pin a rate.
 AUTO_RATE_UTILIZATION = 0.7
@@ -56,17 +57,19 @@ def percentile(sorted_values: list[float], q: float) -> float:
 
 
 def serve_facade(policy: str, system: Any, *, deepum_config: Any = None,
-                 seed: int = 0) -> Any:
+                 seed: int = 0,
+                 observe: Optional["Observer"] = None) -> Any:
     """Build ``policy``'s facade; ``TypeError`` unless it is UM-family.
 
     Serving runs on unified memory, so only facades with a UM engine
     qualify. Cheap enough for the CLI to vet every policy before a cell
-    runs.
+    runs. ``observe`` sees the facade as it does for every other cell
+    (:func:`repro.harness.experiment.build_cell_facade`).
     """
-    from ..harness.experiment import build_policy
+    from ..harness.experiment import build_cell_facade
 
-    facade = build_policy(policy, system, deepum_config=deepum_config,
-                          seed=seed)
+    facade = build_cell_facade(policy, system, deepum_config=deepum_config,
+                               seed=seed, observe=observe)
     if not hasattr(facade, "engine"):
         raise TypeError(
             f"policy {policy!r} is not a UM-family policy; serving "
@@ -74,13 +77,16 @@ def serve_facade(policy: str, system: Any, *, deepum_config: Any = None,
     return facade
 
 
-def run_serve_cell(req: "RunRequest") -> dict[str, Any]:
+def run_serve_cell(req: "RunRequest", *,
+                   observe: Optional["Observer"] = None,
+                   ) -> dict[str, Any]:
     """Execute one serve cell; returns the deterministic serve snapshot.
 
     ``req`` must be resolved (batch/scale/system pinned) with
     ``kind="serve"`` and a :class:`ServeSpec` payload. Raises on caller
     errors (unknown scenario/policy, non-UM policy family); workload
     failures and OOM propagate to :func:`repro.api.execute`'s handler.
+    ``observe`` is :func:`repro.api.execute`'s observer hook.
     """
     from ..models.registry import get_model_config
 
@@ -89,11 +95,8 @@ def run_serve_cell(req: "RunRequest") -> dict[str, Any]:
         and req.scale is not None and req.system is not None
     scenario = get_scenario(spec.scenario)
     facade = serve_facade(req.policy, req.system,
-                          deepum_config=req.deepum_config, seed=req.seed)
-    if req.recorder is not None:
-        from ..obs import attach
-
-        attach(facade, req.recorder)
+                          deepum_config=req.deepum_config, seed=req.seed,
+                          observe=observe)
     cfg = get_model_config(scenario.model)
     sim_batch = cfg.sim_batch(req.batch)
     session = scenario.build(facade.device, sim_batch, req.scale, spec)

@@ -133,11 +133,12 @@ class UMSimulator:
     """
 
     def __init__(self, system: SystemConfig, hooks: DriverHooks | None = None,
-                 *, block_size: int | None = None, recorder=None):
+                 *, block_size: int | None = None):
         self.system = system
         from ..constants import UM_BLOCK_SIZE
 
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
+        # Observers wire a live recorder in with ``repro.obs.attach``.
+        self.recorder = NULL_RECORDER
         self.um = UnifiedMemorySpace(
             block_size=block_size if block_size else UM_BLOCK_SIZE
         )
@@ -146,11 +147,9 @@ class UMSimulator:
             bandwidth=system.link.bandwidth,
             latency=system.link.latency,
             page_overhead=system.link.page_overhead,
-            recorder=self.recorder,
         )
         self.handler = DriverFaultHandler(
             um=self.um, gpu=self.gpu, link=self.link, costs=system.fault,
-            recorder=self.recorder,
         )
         self.energy = EnergyMeter(power=system.power)
         self.hooks: DriverHooks = hooks if hooks is not None else NullHooks()

@@ -1,5 +1,7 @@
 """The unified experiment API: RunRequest/RunResult and execute()."""
 
+from functools import partial
+
 import pytest
 
 from repro.api import (
@@ -12,6 +14,8 @@ from repro.api import (
     sim_snapshot,
 )
 from repro.config import DeepUMConfig, SystemConfig
+from repro.obs import SpanRecorder, attach
+from repro.serve import ServeSpec
 
 #: Small enough that an executed request costs ~0.1s.
 TINY = dict(model="mobilenet", batch=64, warmup_iterations=1,
@@ -49,13 +53,6 @@ def test_request_round_trips_through_dict():
     again = RunRequest.from_dict(resolved.to_dict())
     assert again == resolved
     assert again.system == resolved.system
-
-
-def test_recorder_excluded_from_equality_and_serialization():
-    plain = RunRequest(model="mobilenet", batch=64)
-    traced = RunRequest(model="mobilenet", batch=64, recorder=object())
-    assert plain == traced
-    assert "recorder" not in traced.to_dict()
 
 
 def test_cell_key_names_the_cell():
@@ -110,6 +107,51 @@ def test_probe_mode_reports_oom_with_cause():
                                measure_iterations=0))
     assert probe.status in ("oom", "failed")
     assert probe.error
+
+
+# --------------------------------------------------------------- observe
+
+#: One cheap cell of each kind: training, probe and serve.
+OBSERVED_CELLS = {
+    "training": RunRequest(policy="deepum", **TINY),
+    "probe": RunRequest(model="mobilenet", policy="deepum", batch=64,
+                        warmup_iterations=1, measure_iterations=0),
+    "serve": RunRequest(
+        model="dlrm", policy="deepum", warmup_iterations=1, kind="serve",
+        serve=ServeSpec(scenario="dlrm", requests=4, rate=50.0,
+                        slo_ms=20.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OBSERVED_CELLS))
+def test_observe_sees_one_fresh_facade_per_cell(kind):
+    seen = []
+
+    def observe(facade):
+        seen.append((facade, facade.engine.metrics.kernels))
+
+    result = execute(OBSERVED_CELLS[kind], observe=observe)
+    assert result.ok
+    assert len(seen) == 1
+    facade, kernels_before = seen[0]
+    assert kernels_before == 0  # called before the first kernel ran
+    assert facade.engine.metrics.kernels > 0
+
+
+def test_probe_cell_records_through_observe():
+    rec = SpanRecorder()
+    probe = execute(OBSERVED_CELLS["probe"],
+                    observe=partial(attach, recorder=rec))
+    assert probe.ok
+    assert len(rec.kernels) > 0
+
+
+@pytest.mark.parametrize("measure", [1, 0])
+def test_recording_a_tensor_swap_cell_is_a_caller_error(measure):
+    request = RunRequest(model="mobilenet", policy="lms", batch=64,
+                         warmup_iterations=1, measure_iterations=measure)
+    with pytest.raises(TypeError, match="no UM engine"):
+        execute(request, observe=partial(attach, recorder=SpanRecorder()))
 
 
 def test_execute_captures_cell_failures(monkeypatch):

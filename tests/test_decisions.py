@@ -8,6 +8,7 @@ recorder that explodes on any unguarded hook, plus a wall-clock check).
 """
 
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -249,7 +250,7 @@ def test_every_fault_is_attributed_end_to_end(model, scale, policy):
     rec = SpanRecorder()
     result = run_experiment(model, batch, policy, system=system, scale=scale,
                             warmup_iterations=1, measure_iterations=2,
-                            recorder=rec)
+                            observe=partial(attach, recorder=rec))
     assert not result.oom
     dec = rec.decisions
     faults = sum(k.faults for k in rec.kernels)
@@ -353,13 +354,13 @@ def test_every_hook_site_is_guarded_when_disabled(facade_cls):
 def test_disabled_run_matches_instrumented_run_bit_for_bit():
     system = calibrate_system("mobilenet")
 
-    def run(recorder):
+    def run(observe):
         return run_experiment("mobilenet", 3072, "deepum", system=system,
                               warmup_iterations=1, measure_iterations=2,
-                              recorder=recorder)
+                              observe=observe)
 
     plain = run(None)
-    instrumented = run(SpanRecorder())
+    instrumented = run(attach)
     assert plain.window.elapsed == instrumented.window.elapsed
     assert plain.window.page_faults == instrumented.window.page_faults
     assert plain.window.bytes_in == instrumented.window.bytes_in
@@ -376,15 +377,15 @@ def bench_disabled_guards_cost_less_than_recording():
     """
     system = calibrate_system("mobilenet")
 
-    def run(recorder):
+    def run(observe):
         t0 = time.perf_counter()
         run_experiment("mobilenet", 3072, "deepum", system=system,
                        warmup_iterations=1, measure_iterations=2,
-                       recorder=recorder)
+                       observe=observe)
         return time.perf_counter() - t0
 
     disabled = min(run(None) for _ in range(3))
-    recording = min(run(SpanRecorder()) for _ in range(3))
+    recording = min(run(attach) for _ in range(3))
     assert disabled <= recording * 1.25, (
         f"disabled run ({disabled:.3f}s) should not cost more than an "
         f"instrumented run ({recording:.3f}s): guards are not short-"

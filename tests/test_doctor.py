@@ -1,6 +1,7 @@
 """``repro doctor``: diagnosis rules, report schema, CLI round-trips."""
 
 import json
+from functools import partial
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.obs import (
     PolicyHealth,
     SpanRecorder,
     TableHealth,
+    attach,
     diagnose,
     format_doctor,
     run_doctor,
@@ -147,9 +149,9 @@ def test_run_doctor_refuses_a_reference_pass_that_drifts(monkeypatch):
 
     real = api.execute
 
-    def drifting_reference(request):
-        result = real(request)
-        if request.recorder is None and result.snapshot is not None:
+    def drifting_reference(request, observe=None):
+        result = real(request, observe=observe)
+        if observe is None and result.snapshot is not None:
             result.snapshot = dict(result.snapshot,
                                    page_faults=result.snapshot["page_faults"] + 1)
         return result
@@ -246,7 +248,8 @@ def test_cli_trace_why_drills_into_one_block(capsys):
     rec = SpanRecorder()
     run_experiment("mobilenet", 3072, "deepum",
                    system=calibrate_system("mobilenet"),
-                   warmup_iterations=1, measure_iterations=1, recorder=rec)
+                   warmup_iterations=1, measure_iterations=1,
+                   observe=partial(attach, recorder=rec))
     block = rec.decisions.fault_causes[0].block
     assert main(["trace", "why", "mobilenet", "--block", str(block),
                  "--warmup", "1", "--measure", "1"]) == 0

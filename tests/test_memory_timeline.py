@@ -8,12 +8,13 @@ tampered or incomplete event streams, and re-check that turning the
 instrumentation on changes no timed simulated metric.
 """
 
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
 from repro.harness import calibrate_system, run_experiment
-from repro.obs import SpanRecorder
+from repro.obs import SpanRecorder, attach
 from repro.obs.memory import (
     MemoryReconciliationError,
     MemoryTimeline,
@@ -27,7 +28,8 @@ def _recorded_run(policy, warmup=1, measure=2):
     rec = SpanRecorder()
     result = run_experiment("mobilenet", 3072, policy, system=system,
                             warmup_iterations=warmup,
-                            measure_iterations=measure, recorder=rec)
+                            measure_iterations=measure,
+                            observe=partial(attach, recorder=rec))
     assert not result.oom
     return rec, result, system.gpu.memory_bytes
 
@@ -104,13 +106,13 @@ def test_eviction_trigger_split_separates_policies():
 def test_enabling_recording_changes_no_timed_metric():
     system = calibrate_system("mobilenet")
 
-    def run(recorder):
+    def run(observe):
         return run_experiment("mobilenet", 3072, "um", system=system,
                               warmup_iterations=1, measure_iterations=1,
-                              recorder=recorder)
+                              observe=observe)
 
     plain = run(None)
-    instrumented = run(SpanRecorder())
+    instrumented = run(attach)
     assert plain.window.elapsed == instrumented.window.elapsed
     assert plain.window.page_faults == instrumented.window.page_faults
     assert plain.window.bytes_in == instrumented.window.bytes_in

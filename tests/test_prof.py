@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.api import RunRequest
+from repro.api import RunRequest, execute
 from repro.bench.manifest import Scenario
 from repro.core.block_table import BlockCorrelationTable
 from repro.harness.experiment import build_policy, calibrate_system
@@ -29,6 +29,7 @@ from repro.obs.prof import (
     validate_profile,
     validate_speedscope,
 )
+from repro.serve import ServeSpec
 
 SYSTEM = calibrate_system("mobilenet")
 
@@ -231,6 +232,23 @@ def test_profile_request_neutrality_contract():
     assert doc["total_seconds"] > 0
     assert doc["reference_seconds"] > 0
     assert set(doc["sim"])  # the snapshot rides along for the record
+
+
+def test_profile_request_profiles_the_serve_cell_it_is_given():
+    request = RunRequest(
+        model="dlrm", policy="deepum", warmup_iterations=1, kind="serve",
+        serve=ServeSpec(scenario="dlrm", requests=4, rate=50.0, slo_ms=20.0))
+    doc = profile_request(request)
+    assert doc["sim"] == execute(request).snapshot
+    assert doc["sim"]["kind"] == "serve"
+    assert doc["subsystems"]["engine-loop"]["calls"] > 0
+
+
+def test_profile_request_refuses_an_oom_cell():
+    request = RunRequest(model="mobilenet", policy="um", batch=50_000,
+                         warmup_iterations=1, measure_iterations=1)
+    with pytest.raises(ProfileError, match="nothing to profile"):
+        profile_request(request)
 
 
 def test_profile_request_sampling_captures_repro_stacks():

@@ -62,7 +62,7 @@ def test_replay_matches_direct_execution(policy):
 
     for model, batch in EQUIVALENCE_CELLS:
         window = dict(warmup_iterations=3, measure_iterations=5)
-        direct_run = run_experiment(model, batch, policy, instrument=direct,
+        direct_run = run_experiment(model, batch, policy, observe=direct,
                                     **window)
         replayed = run_experiment(model, batch, policy, **window)
         replayer = replayed.facade.device.replayer

@@ -9,6 +9,7 @@ from repro.core.deepum import DeepUM
 from repro.obs import (
     TRACK_FAULT,
     SpanRecorder,
+    attach,
     iteration_fault_counts,
     trace_summary,
 )
@@ -20,19 +21,19 @@ PRESSED = SystemConfig(gpu=GPUSpec(memory_bytes=16 * MiB),
                        host=HostSpec(memory_bytes=4 * GiB))
 
 FACADES = {
-    "deepum": lambda system: DeepUM(system, DeepUMConfig(prefetch_degree=8),
-                                    recorder=SpanRecorder()),
-    "um": lambda system: NaiveUM(system, recorder=SpanRecorder()),
+    "deepum": lambda system: DeepUM(system, DeepUMConfig(prefetch_degree=8)),
+    "um": NaiveUM,
 }
 
 
 def recorded_mlp(facade, iterations=4):
     """Train the test MLP on ``facade``; returns its recorder."""
+    rec = attach(facade)
     step, _, _ = make_mlp_workload(facade.device, layers_n=6, dim=512,
                                    batch=128)
     for _ in range(iterations):
         step()
-    return facade.engine.recorder
+    return rec
 
 
 @pytest.mark.parametrize("policy", sorted(FACADES))

@@ -11,6 +11,7 @@ hypothesis with dyadic bucket values cross-checked against exact
 
 import json
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.harness import calibrate_system, run_experiment
-from repro.obs import SpanRecorder
+from repro.obs import SpanRecorder, attach
 from repro.obs.decisions import ALL_CAUSES
 from repro.obs.diff import BUCKETS, diff_runs, format_diff, kernel_slices
 from repro.obs.recorder import KernelRecord
@@ -30,7 +31,7 @@ def _recorded_run(policy):
     rec = SpanRecorder()
     result = run_experiment("mobilenet", 3072, policy, system=system,
                             warmup_iterations=1, measure_iterations=1,
-                            recorder=rec)
+                            observe=partial(attach, recorder=rec))
     assert not result.oom
     return rec
 
