@@ -12,20 +12,17 @@ from __future__ import annotations
 from repro.config import DeepUMConfig
 from repro.harness.report import format_table
 
-from common import SWEEP_MODELS, fig9_batches, once, run_cell, seconds, \
+from common import SWEEP_MODELS, cell, fig9_batches, once, run_grid, \
     selected_models
 
 
 def _run_sweep():
-    results = {}
-    for model in selected_models(SWEEP_MODELS):
-        batch = fig9_batches(model)[0]
-        for depth in (1, 2, 3):
-            results[(model, depth)] = run_cell(
-                model, batch, "deepum",
-                DeepUMConfig(exec_history_depth=depth),
-            )
-    return results
+    return run_grid({
+        (model, depth): cell(model, fig9_batches(model)[0], "deepum",
+                             DeepUMConfig(exec_history_depth=depth))
+        for model in selected_models(SWEEP_MODELS)
+        for depth in (1, 2, 3)
+    })
 
 
 def bench_ablation_history_depth(benchmark):
@@ -34,11 +31,11 @@ def bench_ablation_history_depth(benchmark):
     for model in selected_models(SWEEP_MODELS):
         rows.append([
             model,
-            seconds(results[(model, 1)]),
-            seconds(results[(model, 2)]),
-            seconds(results[(model, 3)]),
-            results[(model, 1)].window.faults_per_iteration,
-            results[(model, 3)].window.faults_per_iteration,
+            results[(model, 1)].seconds_per_100_iterations,
+            results[(model, 2)].seconds_per_100_iterations,
+            results[(model, 3)].seconds_per_100_iterations,
+            results[(model, 1)].faults_per_iteration,
+            results[(model, 3)].faults_per_iteration,
         ])
     print()
     print(format_table(

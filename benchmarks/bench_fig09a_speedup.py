@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.harness.report import format_table, geomean
 
-from common import FIG9_MODELS, fig9_batches, fig9_grid, once, seconds, selected_models
+from common import FIG9_MODELS, fig9_batches, fig9_grid, once, selected_models
 
 SYSTEMS = ("lms", "lms-mod", "deepum", "ideal")
 
@@ -21,10 +21,10 @@ def bench_fig09a_speedup(benchmark):
     per_system: dict[str, list[float]] = {s: [] for s in SYSTEMS}
     for model in selected_models(FIG9_MODELS):
         for batch in fig9_batches(model):
-            um = seconds(grid[(model, batch, "um")])
+            um = grid[(model, batch, "um")].seconds_per_100_iterations
             row: list[object] = [f"{model} @{batch}"]
             for system in SYSTEMS:
-                sec = seconds(grid[(model, batch, system)])
+                sec = grid[(model, batch, system)].seconds_per_100_iterations
                 if um is None or sec is None:
                     row.append(None)
                     continue

@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.harness.paperdata import FIG9B_ELAPSED
 from repro.harness.report import format_table
 
-from common import FIG9_MODELS, fig9_batches, fig9_grid, once, seconds, selected_models
+from common import FIG9_MODELS, fig9_batches, fig9_grid, once, selected_models
 
 SYSTEMS = ("um", "lms", "lms-mod", "deepum")
 
@@ -23,7 +23,7 @@ def bench_fig09b_elapsed(benchmark):
             row: list[object] = [f"{model} @{batch}"]
             paper = FIG9B_ELAPSED.get((model, batch), {})
             for system in SYSTEMS:
-                row.append(seconds(grid[(model, batch, system)]))
+                row.append(grid[(model, batch, system)].seconds_per_100_iterations)
             for system in SYSTEMS:
                 row.append(paper.get(system))
             rows.append(row)
@@ -39,8 +39,8 @@ def bench_fig09b_elapsed(benchmark):
         batches = fig9_batches(model)
         um_times = []
         for batch in batches:
-            um = seconds(grid[(model, batch, "um")])
-            deepum = seconds(grid[(model, batch, "deepum")])
+            um = grid[(model, batch, "um")].seconds_per_100_iterations
+            deepum = grid[(model, batch, "deepum")].seconds_per_100_iterations
             assert um is not None and deepum is not None
             um_times.append(um)
             if model != "dlrm":

@@ -16,7 +16,7 @@ SYSTEMS = ("lms", "lms-mod", "deepum")
 
 
 def _energy(result):
-    return result.window.energy_joules if result.window else None
+    return result.metrics.energy_joules if result.metrics else None
 
 
 def bench_fig09c_energy(benchmark):
@@ -50,5 +50,5 @@ def bench_fig09c_energy(benchmark):
         for batch in fig9_batches(model):
             um_r = grid[(model, batch, "um")]
             du_r = grid[(model, batch, "deepum")]
-            if um_r.window and du_r.window and model != "dlrm":
+            if um_r.metrics and du_r.metrics and model != "dlrm":
                 assert _energy(du_r) < _energy(um_r)

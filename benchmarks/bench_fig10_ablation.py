@@ -12,7 +12,7 @@ from repro.config import DeepUMConfig
 from repro.harness.paperdata import FIG10_REDUCTION
 from repro.harness.report import format_table, geomean
 
-from common import FAST, fig9_batches, once, run_cell, seconds, selected_models
+from common import FAST, cell, fig9_batches, once, run_grid, selected_models
 
 MODELS = ("bert-large", "resnet152") if FAST else \
     ("gpt2-xl", "gpt2-l", "bert-large", "bert-base", "dlrm", "resnet152")
@@ -26,33 +26,33 @@ VARIANTS = {
 
 
 def _run_grid():
-    results = {}
-    for model in selected_models(MODELS):
-        batch = fig9_batches(model)[0]
-        results[(model, "um")] = run_cell(model, batch, "um")
-        for name, cfg in VARIANTS.items():
-            results[(model, name)] = run_cell(model, batch, "deepum", cfg)
-    return results
+    return run_grid({
+        (model, name): cell(model, fig9_batches(model)[0],
+                            "um" if cfg is None else "deepum", cfg)
+        for model in selected_models(MODELS)
+        for name, cfg in {"um": None, **VARIANTS}.items()
+    })
 
 
 def bench_fig10_ablation(benchmark):
     results = once(benchmark, _run_grid)
     rows = []
-    reductions: dict[str, list[float]] = {name: [] for name in VARIANTS}
+    # reductions[name][model], present only where both cells ran.
+    reductions: dict[str, dict[str, float]] = {name: {} for name in VARIANTS}
     for model in selected_models(MODELS):
-        um = seconds(results[(model, "um")])
+        um = results[(model, "um")].seconds_per_100_iterations
         row: list[object] = [model]
         for name in VARIANTS:
-            sec = seconds(results[(model, name)])
+            sec = results[(model, name)].seconds_per_100_iterations
             if um is None or sec is None:
                 row.append(None)
                 continue
             reduction = 1.0 - sec / um
-            reductions[name].append(reduction)
+            reductions[name][model] = reduction
             row.append(100.0 * reduction)
         rows.append(row)
     rows.append(["MEAN"] + [
-        100.0 * (sum(v) / len(v)) if (v := reductions[name]) else None
+        100.0 * (sum(v.values()) / len(v)) if (v := reductions[name]) else None
         for name in VARIANTS
     ])
     print()
@@ -61,14 +61,11 @@ def bench_fig10_ablation(benchmark):
     print("paper means: prefetch 45.6%, +preevict 63.7%, +invalidate 66.7%"
           f" (reference: {FIG10_REDUCTION})")
 
-    mean = {n: sum(v) / len(v) for n, v in reductions.items() if v}
+    mean = {n: sum(v.values()) / len(v) for n, v in reductions.items() if v}
     # DLRM's random-order access makes *unassisted* prefetching neutral to
     # slightly harmful (the paper also reports ~no DLRM benefit), so the
     # prefetch-only claim is asserted over the regular workloads.
-    models = list(selected_models(MODELS))
-    regular = [i for i, m in enumerate(models) if m != "dlrm"]
-    pf = [reductions["Prefetch"][i] for i in regular
-          if i < len(reductions["Prefetch"])]
+    pf = [r for m, r in reductions["Prefetch"].items() if m != "dlrm"]
     assert sum(pf) / len(pf) > 0.05, "prefetching alone must help (regular)"
     assert mean["Prefetch+Preevict"] >= mean["Prefetch"] - 0.03
     full = mean["Prefetch+Preevict+Invalidate"]

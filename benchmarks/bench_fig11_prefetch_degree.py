@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.config import DeepUMConfig
 from repro.harness.report import format_table, geomean
 
-from common import FAST, SWEEP_MODELS, fig9_batches, once, run_cell, seconds, \
+from common import FAST, SWEEP_MODELS, cell, fig9_batches, once, run_grid, \
     selected_models
 
 DEGREES = (1, 8, 32, 512) if FAST else (1, 4, 8, 16, 32, 64, 128, 256, 512)
@@ -20,13 +20,12 @@ BASE_N = 8  # normalization point (the paper normalizes to N=8)
 
 
 def _run_sweep():
-    results = {}
-    for model in selected_models(SWEEP_MODELS):
-        batch = fig9_batches(model)[0]
-        for degree in DEGREES:
-            results[(model, degree)] = run_cell(
-                model, batch, "deepum", DeepUMConfig(prefetch_degree=degree))
-    return results
+    return run_grid({
+        (model, degree): cell(model, fig9_batches(model)[0], "deepum",
+                              DeepUMConfig(prefetch_degree=degree))
+        for model in selected_models(SWEEP_MODELS)
+        for degree in DEGREES
+    })
 
 
 def bench_fig11_prefetch_degree(benchmark):
@@ -36,15 +35,14 @@ def bench_fig11_prefetch_degree(benchmark):
     energies: dict[int, list[float]] = {n: [] for n in DEGREES}
     for model in selected_models(SWEEP_MODELS):
         base = results[(model, BASE_N)]
-        base_sec = seconds(base)
-        base_energy = base.window.energy_joules
+        base_sec = base.seconds_per_100_iterations
+        base_energy = base.metrics.energy_joules
         trow: list[object] = [model]
         erow: list[object] = [model]
         for degree in DEGREES:
             r = results[(model, degree)]
-            sec = seconds(r)
-            speedup = base_sec / sec
-            eratio = r.window.energy_joules / base_energy
+            speedup = base_sec / r.seconds_per_100_iterations
+            eratio = r.metrics.energy_joules / base_energy
             speedups[degree].append(speedup)
             energies[degree].append(eratio)
             trow.append(speedup)

@@ -12,7 +12,7 @@ from repro.config import DeepUMConfig
 from repro.harness.paperdata import TABLE6_CONFIGS
 from repro.harness.report import format_table, geomean
 
-from common import FAST, SWEEP_MODELS, fig9_batches, once, run_cell, seconds, \
+from common import FAST, SWEEP_MODELS, cell, fig9_batches, once, run_grid, \
     selected_models
 
 CONFIGS = TABLE6_CONFIGS if not FAST else [
@@ -21,14 +21,14 @@ CONFIGS = TABLE6_CONFIGS if not FAST else [
 
 
 def _run_sweep():
-    results = {}
-    for model in selected_models(SWEEP_MODELS):
-        batch = fig9_batches(model)[0]
-        for name, assoc, succs, rows in CONFIGS:
-            cfg = DeepUMConfig(block_table_rows=rows, block_table_assoc=assoc,
-                               block_table_num_succs=succs)
-            results[(model, name)] = run_cell(model, batch, "deepum", cfg)
-    return results
+    return run_grid({
+        (model, name): cell(
+            model, fig9_batches(model)[0], "deepum",
+            DeepUMConfig(block_table_rows=rows, block_table_assoc=assoc,
+                         block_table_num_succs=succs))
+        for model in selected_models(SWEEP_MODELS)
+        for name, assoc, succs, rows in CONFIGS
+    })
 
 
 def bench_fig12_table_params(benchmark):
@@ -37,11 +37,10 @@ def bench_fig12_table_params(benchmark):
     speedups: dict[str, list[float]] = {n: [] for n in names}
     rows = []
     for model in selected_models(SWEEP_MODELS):
-        base = seconds(results[(model, "Config0")])
+        base = results[(model, "Config0")].seconds_per_100_iterations
         row: list[object] = [model]
         for name in names:
-            sec = seconds(results[(model, name)])
-            sp = base / sec
+            sp = base / results[(model, name)].seconds_per_100_iterations
             speedups[name].append(sp)
             row.append(sp)
         rows.append(row)

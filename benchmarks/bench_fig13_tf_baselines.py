@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.harness.report import format_table, geomean
 
-from common import FIG13_MODELS, fig13_grid, once, seconds, selected_models
+from common import FIG13_MODELS, fig13_grid, once, selected_models
 
 SYSTEMS = ("vdnn", "autotm", "swapadvisor", "capuchin", "sentinel",
            "deepum", "ideal")
@@ -22,14 +22,14 @@ def bench_fig13_tf_baselines(benchmark):
     rows = []
     per_system: dict[str, list[float]] = {s: [] for s in SYSTEMS}
     for model in selected_models(FIG13_MODELS):
-        um = seconds(grid[(model, "um")])
+        um = grid[(model, "um")].seconds_per_100_iterations
         row: list[object] = [model]
         for system in SYSTEMS:
             result = grid[(model, system)]
-            if result.oom or um is None:
+            if result.status == "oom" or um is None:
                 row.append(None)
                 continue
-            sp = um / seconds(result)
+            sp = um / result.seconds_per_100_iterations
             per_system[system].append(sp)
             row.append(sp)
         rows.append(row)
@@ -42,7 +42,7 @@ def bench_fig13_tf_baselines(benchmark):
 
     models = selected_models(FIG13_MODELS)
     if "bert-large-cola" in models:
-        assert grid[("bert-large-cola", "vdnn")].oom, \
+        assert grid[("bert-large-cola", "vdnn")].status == "oom", \
             "vDNN must fail on BERT (CNNs only)"
     deepum = geomean(per_system["deepum"])
     for weaker in ("vdnn", "autotm", "swapadvisor"):

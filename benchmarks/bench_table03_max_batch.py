@@ -8,12 +8,12 @@ magnitude larger batches on several models.
 
 from __future__ import annotations
 
-from repro.harness import calibrate_system, max_batch_search
+from repro.harness import calibrate_system, max_batch_outcome
 from repro.harness.paperdata import TABLE3_MAX_BATCH
 from repro.harness.report import format_table
 from repro.models.registry import get_model_config
 
-from common import FAST, once, selected_models
+from common import EXECUTOR, FAST, once, print_cache_summary, selected_models
 
 MODELS = ("gpt2-l", "bert-large", "bert-base", "dlrm", "resnet152") if FAST \
     else ("gpt2-xl", "gpt2-l", "bert-large", "bert-base", "dlrm",
@@ -26,13 +26,15 @@ def _search_all():
         cfg = get_model_config(model)
         system = calibrate_system(model)
         start = cfg.fig9_batches[0]
-        lms_max = max_batch_search(model, "lms", system, scale=cfg.sim_scale,
-                                   start_batch=start)
-        deepum_max = max_batch_search(model, "deepum", system,
-                                      scale=cfg.sim_scale, start_batch=start)
+        lms_max, deepum_max = [
+            max_batch_outcome(model, policy, system, scale=cfg.sim_scale,
+                              start_batch=start, executor=EXECUTOR).max_batch
+            for policy in ("lms", "deepum")
+        ]
         paper = TABLE3_MAX_BATCH.get(model, {})
         rows.append([model, lms_max, deepum_max,
                      paper.get("lms"), paper.get("deepum")])
+    print_cache_summary()
     return rows
 
 

@@ -21,9 +21,9 @@ def bench_table04_table_size(benchmark):
     for model in selected_models(FIG9_MODELS):
         for batch in fig9_batches(model):
             result = grid[(model, batch, "deepum")]
-            if result.oom:
+            if result.status == "oom":
                 continue
-            mb = result.correlation_table_bytes / MiB
+            mb = result.snapshot["correlation_table_bytes"] / MiB
             by_model[model] = mb
             rows.append([model, batch, mb, TABLE4_TABLE_MB.get((model, batch))])
     print()

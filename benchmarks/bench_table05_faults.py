@@ -22,10 +22,10 @@ def bench_table05_faults(benchmark):
         for batch in fig9_batches(model):
             um = grid[(model, batch, "um")]
             deepum = grid[(model, batch, "deepum")]
-            if um.window is None or deepum.window is None:
+            if um.metrics is None or deepum.metrics is None:
                 continue
-            um_f = um.window.faults_per_iteration
-            du_f = deepum.window.faults_per_iteration
+            um_f = um.faults_per_iteration
+            du_f = deepum.faults_per_iteration
             ratio = du_f / um_f if um_f else 0.0
             ratios.append((model, ratio))
             paper = TABLE5_FAULTS.get((model, batch), {})

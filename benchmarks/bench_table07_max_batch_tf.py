@@ -10,12 +10,13 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.config import HostSpec
-from repro.harness import calibrate_system, max_batch_search
+from repro.harness import calibrate_system, max_batch_outcome
 from repro.harness.paperdata import TABLE7_MAX_BATCH
 from repro.harness.report import format_table
 from repro.models.registry import get_model_config
 
-from common import FAST, FIG13_MODELS, once, selected_models
+from common import EXECUTOR, FIG13_MODELS, once, print_cache_summary, \
+    selected_models
 
 SYSTEMS = ("vdnn", "autotm", "swapadvisor", "capuchin", "sentinel", "deepum")
 HOST_CAP_RATIO = 8  # paper: 128 GB host vs 16 GB GPU
@@ -31,10 +32,11 @@ def _search_all():
         )
         start = cfg.fig9_batches[0]
         for policy in SYSTEMS:
-            rows[(model, policy)] = max_batch_search(
+            rows[(model, policy)] = max_batch_outcome(
                 model, policy, system, scale=cfg.sim_scale,
-                start_batch=start,
-            )
+                start_batch=start, executor=EXECUTOR,
+            ).max_batch
+    print_cache_summary()
     return rows
 
 

@@ -12,7 +12,7 @@ Run:  python examples/max_batch_explorer.py [model] [policy ...]
 
 import sys
 
-from repro.harness import calibrate_system, max_batch_search
+from repro.harness import calibrate_system, max_batch_outcome
 from repro.harness.report import format_table
 from repro.models.registry import get_model_config
 
@@ -27,8 +27,8 @@ def main() -> None:
 
     rows = []
     for policy in policies:
-        best = max_batch_search(model, policy, system, scale=cfg.sim_scale,
-                                start_batch=cfg.fig9_batches[0])
+        best = max_batch_outcome(model, policy, system, scale=cfg.sim_scale,
+                                 start_batch=cfg.fig9_batches[0]).max_batch
         rows.append([policy, best if best else "does not run"])
     print()
     print(format_table(["system", "max paper-scale batch"], rows,

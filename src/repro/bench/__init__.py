@@ -12,7 +12,7 @@ before the comparison fails.
 
 from .compare import CompareResult, compare_results
 from .manifest import DEFAULT_MEASURE, DEFAULT_WARMUP, SCENARIOS, Scenario
-from .runner import run_cell, run_scenario
+from .runner import run_scenario
 from .schema import SCHEMA_VERSION, load_result, validate_result, write_result
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "Scenario",
     "compare_results",
     "load_result",
-    "run_cell",
     "run_scenario",
     "validate_result",
     "write_result",

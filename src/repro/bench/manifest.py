@@ -4,8 +4,8 @@ A :class:`Scenario` fixes everything that determines a run's simulated
 output — model, paper batch, policy list, iteration counts, seed and
 prefetch degree — so two runs of the same scenario on any machine produce
 identical simulated metrics and comparable wall-clock times.  The figure
-and table benchmarks under ``benchmarks/`` share these warm-up/measure
-constants so a scenario times exactly what the paper grids run.
+and table benchmarks under ``benchmarks/`` build their request grids with
+these warm-up/measure constants, so a scenario times what they run.
 """
 
 from __future__ import annotations

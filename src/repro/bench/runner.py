@@ -25,9 +25,8 @@ import time
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..api import RunRequest, RunResult, execute
-from ..config import DeepUMConfig
 from ..harness.experiment import ExperimentResult
-from .manifest import DEFAULT_MEASURE, DEFAULT_WARMUP, Scenario
+from .manifest import Scenario
 from .schema import make_result
 
 if TYPE_CHECKING:
@@ -36,36 +35,6 @@ if TYPE_CHECKING:
 
 class BenchRunError(RuntimeError):
     """A scenario cell failed (OOM) or was non-deterministic."""
-
-
-def run_cell(
-    model: str,
-    batch: int,
-    policy: str,
-    *,
-    deepum_config: Optional[DeepUMConfig] = None,
-    warmup_iterations: int = DEFAULT_WARMUP,
-    measure_iterations: int = DEFAULT_MEASURE,
-    seed: int = 0,
-) -> ExperimentResult:
-    """One experiment cell under the bench's pinned iteration counts.
-
-    This is the primitive the figure/table benchmarks share (see
-    ``benchmarks/common.py``): one :class:`repro.api.RunRequest` executed
-    in-process.
-    """
-    result = execute(
-        RunRequest(
-            model=model,
-            policy=policy,
-            batch=batch,
-            warmup_iterations=warmup_iterations,
-            measure_iterations=measure_iterations,
-            deepum_config=deepum_config,
-            seed=seed,
-        )
-    )
-    return _checked(result)
 
 
 def _checked(result: RunResult) -> ExperimentResult:

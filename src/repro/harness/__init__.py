@@ -11,7 +11,7 @@ from .experiment import (
 from .metrics import WindowMetrics, phase_breakdown_rows
 from .report import (format_table, geomean, phase_breakdown_table,
                      speedup_table)
-from .sweep import MaxBatchOutcome, max_batch_outcome, max_batch_search
+from .sweep import MaxBatchOutcome, max_batch_outcome
 
 __all__ = [
     "POLICIES",
@@ -28,7 +28,6 @@ __all__ = [
     "geomean",
     "speedup_table",
     "max_batch_outcome",
-    "max_batch_search",
 ]
 
 

@@ -3,10 +3,10 @@
 Probes are warm-up-only cells (``RunRequest(measure_iterations=0)``) run
 as executor tasks (:mod:`repro.exec`), so a probe reports *why* it failed,
 not just that it did, and honours the executor's timeout, retries and
-result cache. :func:`max_batch_outcome` returns the full structured
-result — including the smallest probed batch and its failure cause when
-nothing fits — and :func:`max_batch_search` stays as the integer-returning
-compatibility wrapper.
+result cache. :func:`max_batch_outcome` is the one search: it returns
+the structured result — ``max_batch`` plus the smallest probed batch and
+its failure cause when nothing fits. ``repro max-batch`` and the Table 3
+and Table 7 benchmarks call it with their shared executor.
 
 The doubling phase probes as many upcoming batch sizes at once as the
 executor has workers; because a probe's outcome is a deterministic
@@ -181,19 +181,3 @@ def max_batch_outcome(
             hi = mid
     return prober.outcome(step, lo)
 
-
-def max_batch_search(
-    model: str,
-    policy: str,
-    system: SystemConfig,
-    *,
-    scale: float,
-    start_batch: Optional[int] = None,
-    iterations: int = 2,
-    deepum_config: Optional[DeepUMConfig] = None,
-) -> int:
-    """Integer-only view of :func:`max_batch_outcome` (0 = nothing fits)."""
-    return max_batch_outcome(
-        model, policy, system, scale=scale, start_batch=start_batch,
-        iterations=iterations, deepum_config=deepum_config,
-    ).max_batch

@@ -8,7 +8,7 @@ from repro.harness import (
     POLICIES,
     calibrate_system,
     build_policy,
-    max_batch_search,
+    max_batch_outcome,
     run_experiment,
 )
 from repro.harness.experiment import measure_footprint
@@ -88,24 +88,24 @@ def test_run_experiment_reports_oom():
     assert result.seconds_per_100_iterations is None
 
 
-def test_max_batch_search_deepum_exceeds_lms():
+def test_max_batch_outcome_deepum_exceeds_lms():
     """Table 3's headline: DeepUM (host-bound) runs much larger batches
     than LMS (device/fragmentation-bound)."""
     system = SystemConfig(
         gpu=GPUSpec(memory_bytes=96 * MiB),
         host=HostSpec(memory_bytes=1 * GiB),
     )
-    lms_max = max_batch_search("bert-base", "lms", system, scale=TINY,
-                               start_batch=2)
-    deepum_max = max_batch_search("bert-base", "deepum", system, scale=TINY,
-                                  start_batch=2)
+    lms_max = max_batch_outcome("bert-base", "lms", system, scale=TINY,
+                                start_batch=2).max_batch
+    deepum_max = max_batch_outcome("bert-base", "deepum", system, scale=TINY,
+                                   start_batch=2).max_batch
     assert deepum_max > lms_max > 0
 
 
-def test_max_batch_search_returns_zero_when_nothing_fits():
+def test_max_batch_outcome_returns_zero_when_nothing_fits():
     system = SystemConfig(
         gpu=GPUSpec(memory_bytes=16 * MiB),
         host=HostSpec(memory_bytes=8 * MiB),
     )
-    assert max_batch_search("bert-base", "um", system, scale=TINY,
-                            start_batch=2) == 0
+    assert max_batch_outcome("bert-base", "um", system, scale=TINY,
+                             start_batch=2).max_batch == 0
