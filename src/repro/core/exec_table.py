@@ -59,17 +59,11 @@ class ExecutionCorrelationTable:
         self.updates = 0
         self.hits = 0
         self.misses = 0
-        #: Monotonic write counter. A failed prediction can only start
-        #: succeeding after the table gained a record, so readers (the
-        #: chaining prefetcher) use this to memoize negative lookups
-        #: without risking staleness.
-        self.version = 0
         #: Bumped only when a record actually changes what the table
         #: predicts (new history key, or an existing key's next kernel
         #: changes). A periodic kernel stream re-records identical
-        #: transitions every iteration, so this stabilizes where
-        #: ``version`` keeps climbing — letting readers memoize *positive*
-        #: walks across the steady state.
+        #: transitions every iteration, so this stabilizes across the
+        #: steady state — letting readers memoize *positive* walks.
         self.content_version = 0
         #: Why the most recent :meth:`predict_next` missed: ``"no-entry"``
         #: (the current kernel has never been recorded at all) or
@@ -86,7 +80,6 @@ class ExecutionCorrelationTable:
             self.content_version += 1
         records[history] = next_id
         self.updates += 1
-        self.version += 1
 
     def predict_next(self, history: History, current: int) -> Optional[int]:
         """Predict the kernel following ``current``; None when unseen."""

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..obs.recorder import NULL_RECORDER, TRACK_PREEVICT
-from ..policies.eviction import ProtectedBlockProvider
+from ..policies.eviction import ProtectedBlockProvider, preevict_victims
 from ..sim.fault_handler import DriverFaultHandler
 from ..sim.gpu import GPUMemory
-from ..sim.um_space import ADVISE_CPU, ADVISE_STICKY, UMBlock
+from ..sim.um_space import UMBlock
 
 
 @dataclass(slots=True)
@@ -44,6 +44,8 @@ class PreEvictor:
     ):
         if not 0.0 < low_watermark < 1.0:
             raise ValueError(f"low_watermark must be in (0, 1), got {low_watermark}")
+        if batch_blocks < 1:
+            raise ValueError(f"batch_blocks must be >= 1, got {batch_blocks}")
         self.gpu = gpu
         self.handler = handler
         self.prefetcher = prefetcher
@@ -72,55 +74,13 @@ class PreEvictor:
         are always preferred; live victims follow the paper's two rules —
         least recently migrated and not expected to be accessed by the
         current or next N kernels (the prefetcher's protected set).
+        Selection and skip counting live beside the demand path's, in
+        :func:`repro.policies.eviction.preevict_victims`.
         """
-        protected = self.prefetcher.protected_blocks()
-        batch = self.batch_blocks
-        victims: list[UMBlock] = []
-        live: list[UMBlock] = []
-        skips = 0
-        hint_skips = 0
-        # Invalidated (free) victims are preferred wherever they sit in the
-        # migration order, so the scan may only stop early once the live
-        # list is full AND no invalidated block remains ahead — the GPU's
-        # resident count makes "remains ahead" a counter, not a rescan.
-        inval_ahead = self.gpu.invalidated_resident
-        for blk in self.gpu.migration_order():
-            if len(live) >= batch and inval_ahead == 0:
-                break
-            if blk.invalidated:
-                inval_ahead -= 1
-            if blk.index in protected:
-                # A skip is only a *deferral* when the block would have
-                # been selected: a free victim while the victim list has
-                # room, or a live one while the live list has room.
-                if len(victims) < batch if blk.invalidated \
-                        else len(live) < batch:
-                    skips += 1
-                continue
-            if blk.advice and not blk.invalidated:
-                # Advisory hints never block reclaiming an invalidated
-                # (free) victim; for live blocks they steer the pre-evictor
-                # off: sticky blocks (READ_MOSTLY / PREFERRED_LOCATION_GPU)
-                # are deferred like protected ones, and CPU-preferred
-                # blocks are left for the demand path entirely — evicting
-                # them here only to re-fault them later is precisely the
-                # churn the hint rules out.
-                if blk.advice & ADVISE_STICKY:
-                    if len(live) < batch:
-                        hint_skips += 1
-                    continue
-                if blk.advice & ADVISE_CPU:
-                    continue
-            if blk.invalidated:
-                victims.append(blk)
-                if len(victims) >= batch:
-                    break
-            elif len(live) < batch:
-                live.append(blk)
+        victims, skips, hint_skips = preevict_victims(
+            self.gpu, self.prefetcher.protected_blocks(), self.batch_blocks)
         self.stats.protected_skips += skips
         self.stats.hint_skips += hint_skips
-        if len(victims) < batch:
-            victims.extend(live[: batch - len(victims)])
         return victims
 
     def tick(self, now: float) -> bool:

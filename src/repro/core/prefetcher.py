@@ -53,34 +53,30 @@ class ChainingPrefetcher:
         self._chain_history: tuple[int, int, int] = (NO_KERNEL,) * 3
         self._frontier: deque[int] = deque()
         self._queue: deque[int] = deque()
-        # Predicted blocks per absolute kernel position (the window).
+        # Predicted blocks per absolute kernel position (the window), and
+        # a bound below every live position: retirement walks up from it.
         self._window_sets: dict[int, set[int]] = {}
+        self._window_low = 0
         # The union of the window sets, maintained incrementally: the
         # count is how many live window sets contain each block, so
         # retiring a position is O(|its set|) instead of re-unioning the
         # whole window on every kernel completion.
         self._protected: set[int] = set()
         self._protect_count: dict[int, int] = {}
-        # True while the chain is paused at the window edge with nothing
-        # buffered: in that state a step provably returns False with no
-        # side effects (the window-full check precedes every counter), so
-        # the per-access queue polls skip the walk machinery entirely.
-        # Cleared whenever the window can move: a launch advances
-        # ``gpu_pos``; repositioning moves ``chain_pos``.
+        # True while the chain cannot hop: it is paused at the window edge,
+        # or its next-kernel prediction failed (a dead chain). Neither can
+        # change before the window moves — a launch advances ``gpu_pos``
+        # and records the execution table; repositioning moves
+        # ``chain_pos`` — so until then a step with nothing buffered
+        # provably returns False with no side effects, and the per-access
+        # queue polls skip the walk machinery entirely. A dead chain thus
+        # books one chain break per failed prediction, not one per poll.
         self._paused = False
         self.commands_emitted = 0
         self.chain_breaks = 0
         # Provenance source for successor-expansion emissions: "chain"
         # normally, "restart" for the wave right after a fault re-sync.
         self._walk_src = "chain"
-        # Negative-prediction memo: the (exec, history, table-version)
-        # state whose next-kernel prediction last failed. The migration
-        # thread retries the dead chain on every queue pop; until the
-        # execution table gains a record the retry is guaranteed to fail
-        # again, so it is short-circuited here (with the same counter
-        # effects as the full lookup: a chain break and a table miss).
-        self._stuck_state: tuple | None = None
-        self._stuck_reason = ""  # miss reason memoized beside _stuck_state
         # Positive-walk memo: (exec, history) -> (hops, exec', history')
         # for walks that ended at a kernel with something to prefetch.
         # Every fault restart re-hops the same fault-free kernel runs the
@@ -130,21 +126,28 @@ class ChainingPrefetcher:
         self._expand()
 
     def on_kernel_end(self) -> None:
-        """The executing kernel finished: retire its predicted set."""
-        window_sets = self._window_sets
+        """The executing kernel finished: retire its predicted set.
+
+        Every position up to ``gpu_pos`` retires; they are visited upward
+        from the lowest live one, so the cost is the positions retired,
+        not the window's size. (The order is immaterial: the protected set
+        is the union of what remains.)
+        """
         gpu_pos = self._gpu_pos
-        stale = [pos for pos in window_sets if pos <= gpu_pos]
-        if stale:
+        low = self._window_low
+        if low <= gpu_pos:
+            window_sets = self._window_sets
             counts = self._protect_count
             protected = self._protected
-            for pos in stale:
-                for block in window_sets.pop(pos):
+            for pos in range(low, gpu_pos + 1):
+                for block in window_sets.pop(pos, ()):
                     left = counts[block] - 1
                     if left:
                         counts[block] = left
                     else:
                         del counts[block]
                         protected.discard(block)
+            self._window_low = gpu_pos + 1
         self._expand()
 
     def restart_from_fault(self, block: int) -> None:
@@ -275,9 +278,12 @@ class ChainingPrefetcher:
             )
 
     def _note_emitted(self, block: int) -> None:
-        ws = self._window_sets.get(self._chain_pos)
+        pos = self._chain_pos
+        ws = self._window_sets.get(pos)
         if ws is None:
-            ws = self._window_sets[self._chain_pos] = set()
+            ws = self._window_sets[pos] = set()
+            if pos < self._window_low:
+                self._window_low = pos
         if block not in ws:
             ws.add(block)
             counts = self._protect_count
@@ -350,11 +356,12 @@ class ChainingPrefetcher:
         Kernels that never fault (no recorded start) are hopped through:
         they contribute nothing to prefetch but still consume look-ahead
         window. The loop stops when the window is full (pause: resumes as
-        kernels complete) or a prediction fails (chain break).
+        kernels complete) or a prediction fails (chain break). Either way
+        the chain stays paused until a launch or a restart.
         """
-        if self._chain_pos - self._gpu_pos >= self.degree:
+        if self._paused or self._chain_pos - self._gpu_pos >= self.degree:
             self._paused = True
-            return False  # window full: pause
+            return False  # window full or chain dead: pause
         correlator = self.correlator
         exec_table = correlator.exec_table
         topo = (exec_table.content_version, correlator.starts_version)
@@ -368,10 +375,7 @@ class ChainingPrefetcher:
             hops, final_exec, final_history = cached
             # The replayed walk makes one prediction per hop, the last one
             # landing on the stop kernel; each passes the window check iff
-            # the whole walk fits in the remaining look-ahead room. (A
-            # memoized success can never collide with the stuck memo: both
-            # are dropped when predictions change, and one state cannot
-            # both succeed and fail under the same table content.)
+            # the whole walk fits in the remaining look-ahead room.
             if hops <= self.degree - (self._chain_pos - self._gpu_pos):
                 exec_table.hits += hops
                 self._chain_pos += hops
@@ -390,22 +394,12 @@ class ChainingPrefetcher:
             if self._chain_pos - self._gpu_pos >= self.degree:
                 self._paused = True
                 return False  # window full: pause
-            state = (self._chain_exec, self._chain_history, exec_table.version)
-            if state == self._stuck_state:
-                # Memoized dead end: the prediction failed for this exact
-                # state and the table has not changed since, so it would
-                # fail again. Book the same miss and chain break the full
-                # lookup would have produced, without doing it.
-                exec_table.misses += 1
-                self._record_chain_break(self._stuck_reason)
-                return False
             nxt = exec_table.predict_next(
                 self._chain_history, self._chain_exec
             )
             if nxt is None:
-                self._stuck_state = state
-                self._stuck_reason = exec_table.last_miss_reason
-                self._record_chain_break(self._stuck_reason)
+                self._paused = True
+                self._record_chain_break(exec_table.last_miss_reason)
                 return False
             self._chain_history = (
                 self._chain_history[1], self._chain_history[2], self._chain_exec,

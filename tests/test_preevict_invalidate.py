@@ -40,6 +40,8 @@ def test_watermark_validation():
     um, gpu, handler, cor, pf, _ = make_stack()
     with pytest.raises(ValueError):
         PreEvictor(gpu, handler, pf, low_watermark=1.5)
+    with pytest.raises(ValueError):
+        PreEvictor(gpu, handler, pf, batch_blocks=0)
 
 
 def test_no_eviction_with_headroom():

@@ -6,6 +6,8 @@ on the commands it produces — separating learning from prediction.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.block_table import BlockTableConfig
 from repro.core.correlator import Correlator
@@ -193,6 +195,55 @@ def test_chain_breaks_counted_on_prediction_failure():
     replay_fault(cor, pf, 10)
     drain(pf)
     assert pf.chain_breaks >= 1
+
+
+def test_polling_a_dead_chain_books_one_break():
+    """A failed prediction is booked once: the engine polls the queue
+    before every block access and steps on every kernel end, and none of
+    those polls may book another break or exec-table miss until a launch
+    or a restart gives the chain something new to predict from."""
+    cor = teach([(1, [10]), (2, [20])], repeats=1)  # 2 has no successor
+    pf = ChainingPrefetcher(cor, degree=4)
+    replay_launch(cor, pf, 2)
+    replay_fault(cor, pf, 20)
+    drain(pf)
+    assert pf.chain_breaks == 1
+    misses = cor.exec_table.misses
+    for _ in range(25):
+        assert pf.pop_command() is None
+        pf.on_kernel_end()
+    assert pf.chain_breaks == 1
+    assert cor.exec_table.misses == misses
+    replay_fault(cor, pf, 99)  # off-chain fault: a new chain, a new miss
+    drain(pf)
+    assert pf.chain_breaks == 2
+    assert cor.exec_table.misses == misses + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(["launch", "end", "fault", "pop"]),
+                max_size=60),
+       st.integers(1, 4), st.randoms(use_true_random=False))
+def test_window_retirement_keeps_protection_exact(ops, degree, rnd):
+    """After every kernel end no window set at or below the GPU's position
+    survives, and the protected set is exactly the union of the live ones
+    — including sets re-created below the retirement cursor by a restart
+    between a kernel's end and the next launch."""
+    cor = teach(SCHEDULE)
+    pf = ChainingPrefetcher(cor, degree=degree)
+    kernels = [k for k, _ in SCHEDULE]
+    for op in ops:
+        if op == "launch":
+            replay_launch(cor, pf, rnd.choice(kernels))
+        elif op == "end":
+            pf.on_kernel_end()
+            assert all(pos > pf._gpu_pos for pos in pf._window_sets)
+        elif op == "fault":
+            replay_fault(cor, pf, rnd.choice([10, 11, 20, 21, 30, 40, 99]))
+        else:
+            pf.pop_command()
+        live = set().union(*pf._window_sets.values())
+        assert pf.protected_blocks() == live
 
 
 def test_commands_not_duplicated_within_window():

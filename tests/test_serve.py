@@ -168,7 +168,6 @@ def test_advice_labels_are_stable():
 def test_advice_masks_are_plain_ints():
     """Block advice is an int, so an IntFlag mask would make every
     ``blk.advice & mask`` in the victim scans build an enum object."""
-    from repro.core import preevict
     from repro.policies import chaining, eviction, windowed
     from repro.sim import um_space
 
@@ -178,8 +177,7 @@ def test_advice_masks_are_plain_ints():
         "um_space.ADVISE_ALL": um_space.ADVISE_ALL,
         "eviction.ADVISE_STICKY": eviction.ADVISE_STICKY,
         "eviction.ADVISE_CPU": eviction.ADVISE_CPU,
-        "preevict.ADVISE_STICKY": preevict.ADVISE_STICKY,
-        "preevict.ADVISE_CPU": preevict.ADVISE_CPU,
+        "eviction._NOT_COLD": eviction._NOT_COLD,
         "windowed.ADVISE_STICKY": windowed.ADVISE_STICKY,
         "chaining.ADVISE_STICKY": chaining.ADVISE_STICKY,
     }
